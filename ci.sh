@@ -93,19 +93,6 @@ cargo run --release -q -p txbench --bin repro -- diff \
   exit 1
 }
 
-echo "== ablation smoke run (txbench ablate, collector + directory sections)"
-# Small sample budgets keep this a wiring check, not a benchmark (the
-# host time-shares the sweep's threads anyway). Assert the TSV carries
-# both sections and every collector variant.
-ablate_out="$(cargo run --release -q -p txbench --bin ablate -- \
-  --threads 1,2,4,8,16,32 --samples 20000 --scale 3)"
-for needle in hashmap_locked arena_owned collector_e2e directory; do
-  grep -q "$needle" <<< "$ablate_out" || {
-    echo "ablate output missing '$needle'" >&2
-    exit 1
-  }
-done
-
 echo "== collector self-cost gate (repro --self-profile vs the Fig. 5 ~4% budget)"
 # Bills the run's SamplesTaken at a per-sample cost calibrated inline and
 # exits 1 when the collector's share of instrumented wall meets or
@@ -114,5 +101,12 @@ echo "== collector self-cost gate (repro --self-profile vs the Fig. 5 ~4% budget
 cargo run --release -q -p txbench --bin repro -- \
   --threads 4 --scale 3 --self-profile fig7 --self-profile-budget 4 \
   --out "$fresh_dir" > /dev/null
+
+echo "== benchmark harness (its own workspace: unit tests + smoke run of all five workloads)"
+# benchmark/ builds against ../crates/* through path dependencies but is
+# not a member of this workspace, so nothing above notices when a
+# signature it calls changes.
+cargo test --manifest-path benchmark/Cargo.toml -q
+benchmark/smoke.sh > /dev/null
 
 echo "== ci.sh: all green"

@@ -1,9 +1,8 @@
-//! Shared plumbing for the figure/table harness (`repro` binary and the
-//! std-only benches): experiment runners that regenerate every table and
-//! figure of the paper's evaluation, printing paper-style rows.
+//! Shared plumbing for the figure/table harness (the `repro` binary):
+//! experiment runners that regenerate every table and figure of the
+//! paper's evaluation, printing paper-style rows.
 
 pub mod experiments;
-pub mod microbench;
 pub mod serve;
 
 pub use experiments::*;

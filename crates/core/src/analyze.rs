@@ -27,27 +27,9 @@ pub fn merge_profiles(mut profiles: Vec<ThreadProfile>) -> Profile {
     let samples = profiles.iter().map(|p| p.samples).sum();
     let truncated_paths = profiles.iter().map(|p| p.truncated_paths).sum();
     let interrupt_abort_samples = profiles.iter().map(|p| p.interrupt_abort_samples).sum();
-    let mut backends = std::collections::HashMap::new();
-    let mut hists = std::collections::HashMap::new();
-    let mut cm = std::collections::HashMap::new();
+    let mut records = rtm_runtime::SiteMap::default();
     for p in &profiles {
-        for (site, mix) in &p.backends {
-            backends
-                .entry(*site)
-                .or_insert_with(crate::metrics::BackendMix::default)
-                .merge(mix);
-        }
-        for (site, h) in &p.hists {
-            hists
-                .entry(*site)
-                .or_insert_with(rtm_runtime::SiteHists::default)
-                .merge(h);
-        }
-        for (site, s) in &p.cm {
-            cm.entry(*site)
-                .or_insert_with(rtm_runtime::CmStats::default)
-                .merge(s);
-        }
+        records.merge(&p.records);
     }
 
     let cct = reduce(profiles);
@@ -59,9 +41,7 @@ pub fn merge_profiles(mut profiles: Vec<ThreadProfile>) -> Profile {
         samples,
         truncated_paths,
         interrupt_abort_samples,
-        backends,
-        hists,
-        cm,
+        records,
         meta: Default::default(),
     }
 }

@@ -799,25 +799,25 @@ mod tests {
         let site = Ip::new(FuncId(1), 21);
 
         let mut d0 = delta(0, 10, 5, 1);
-        let m = d0.backend_mix(site);
+        let m = &mut d0.records.entry(site).mix;
         m.stm = 4;
         m.switches = 1;
         hub.publish(&d0);
 
         let mut d1 = delta(1, 10, 7, 2);
-        let m = d1.backend_mix(site);
+        let m = &mut d1.records.entry(site).mix;
         m.stm = 3;
         m.hle = 2;
         hub.publish(&d1);
 
         // Cumulative snapshot: both threads' mixes merged per site.
-        let mix = hub.latest().profile.backends[&site];
+        let mix = hub.latest().profile.records.get(site).unwrap().mix;
         assert_eq!((mix.lock, mix.stm, mix.hle, mix.switches), (0, 7, 2, 1));
-        assert_eq!(hub.latest().profile.backends[&site].choice(), Some("stm"));
+        assert_eq!(mix.choice(), Some("stm"));
 
         // Epoch-delta export: only the second publish's mix.
         let view = hub.delta_since(1);
-        let mix = view.profile.backends[&site];
+        let mix = view.profile.records.get(site).unwrap().mix;
         assert_eq!((mix.lock, mix.stm, mix.hle, mix.switches), (0, 3, 2, 0));
     }
 
@@ -827,22 +827,26 @@ mod tests {
         let site = Ip::new(FuncId(1), 21);
 
         let mut d0 = delta(0, 10, 5, 1);
-        d0.site_hists(site).record_completion(100, 1, None);
+        d0.records.entry(site).hists.record_completion(100, 1, None);
         hub.publish(&d0);
 
         let mut d1 = delta(1, 10, 7, 2);
-        d1.site_hists(site).record_completion(9000, 7, Some(4000));
+        d1.records
+            .entry(site)
+            .hists
+            .record_completion(9000, 7, Some(4000));
         hub.publish(&d1);
 
         // Cumulative snapshot: both threads' histograms merged per site.
-        let h = hub.latest().profile.hists[&site];
+        let h = hub.latest().profile.records.get(site).unwrap().hists;
         assert_eq!(h.tx_cycles.count, 2);
         assert_eq!(h.retry_depth.sum, 8);
 
         // Epoch-delta export: only the second publish's histograms.
         let view = hub.delta_since(1);
-        assert_eq!(view.profile.hists[&site].fb_dwell.count, 1);
-        assert_eq!(view.profile.hists[&site].tx_cycles.count, 1);
+        let h = view.profile.records.get(site).unwrap().hists;
+        assert_eq!(h.fb_dwell.count, 1);
+        assert_eq!(h.tx_cycles.count, 1);
 
         // Trend rows carry the cumulative tx-cycles p99 (bucket bounds:
         // 100 → [64,127]; with the 9000 the p99 moves to [8192,16383]).

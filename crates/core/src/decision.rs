@@ -260,9 +260,9 @@ pub fn diagnose(profile: &Profile, thresholds: &Thresholds) -> Diagnosis {
             // Adaptive sites with no fallback activity start on the lock,
             // exactly like the runtime's fresh slots.
             let current = profile
-                .backends
-                .get(&site)
-                .and_then(|mix| mix.choice())
+                .records
+                .get(site)
+                .and_then(|r| r.mix.choice())
                 .and_then(FallbackKind::parse)
                 .or(run_backend)
                 .map(|k| match k {
@@ -678,14 +678,11 @@ mod tests {
             m.aborts_capacity = 10;
             m.capacity_weight = 1000;
             p.meta.fallback = Some("adaptive".to_string());
-            p.backends.insert(
-                Ip::new(FuncId(1), 1),
-                crate::metrics::BackendMix {
-                    stm: 20,
-                    switches: 1,
-                    ..Default::default()
-                },
-            );
+            p.records.entry(Ip::new(FuncId(1), 1)).mix = crate::metrics::BackendMix {
+                stm: 20,
+                switches: 1,
+                ..Default::default()
+            };
         });
         let d = diagnose(&p, &Thresholds::default());
         assert!(!d.sites[0]
@@ -695,7 +692,7 @@ mod tests {
         // Without the mix, `fallback=adaptive` means fresh slots on the
         // lock — the switch is advised again.
         let mut q = p.clone();
-        q.backends.clear();
+        q.records = Default::default();
         let d = diagnose(&q, &Thresholds::default());
         assert!(d.sites[0]
             .suggestions
@@ -717,7 +714,7 @@ mod tests {
             }
             // 30 completions, most at depth 7 through the fallback: tail
             // heavy, commit share 1/30.
-            let h = p.hists.entry(site).or_default();
+            let h = &mut p.records.entry(site).hists;
             h.record_completion(500, 1, None);
             for _ in 0..29 {
                 h.record_completion(9000, 7, Some(4000));
@@ -743,7 +740,7 @@ mod tests {
             for _ in 0..100 {
                 p.cct.metrics_mut(n).add_cycles_sample(TimeComponent::Tx);
             }
-            let h = p.hists.entry(site).or_default();
+            let h = &mut p.records.entry(site).hists;
             for _ in 0..30 {
                 h.record_completion(500, 1, None);
             }
@@ -758,7 +755,7 @@ mod tests {
             for _ in 0..100 {
                 p.cct.metrics_mut(n).add_cycles_sample(TimeComponent::Tx);
             }
-            let h = p.hists.entry(site).or_default();
+            let h = &mut p.records.entry(site).hists;
             for _ in 0..30 {
                 h.record_completion(500, 7, None);
             }

@@ -383,23 +383,24 @@ pub fn diff_profiles(a: &Profile, b: &Profile, thresholds: &Thresholds) -> Profi
 
     // Per-site histogram join: every site with distributions on either
     // side whose histograms differ.
+    let hists_of = |p: &Profile, site: Ip| p.records.get(site).map(|r| r.hists);
     let mut hist_sites: Vec<HistSiteDiff> = Vec::new();
-    for (site, ah) in &a.hists {
-        let bh = b.hists.get(site).copied().unwrap_or_default();
-        if *ah != bh {
+    for (site, ra) in a.records.sorted() {
+        let bh = hists_of(b, site).unwrap_or_default();
+        if ra.hists != bh {
             hist_sites.push(HistSiteDiff {
-                site: *site,
-                a: *ah,
+                site,
+                a: ra.hists,
                 b: bh,
             });
         }
     }
-    for (site, bh) in &b.hists {
-        if !a.hists.contains_key(site) {
+    for (site, rb) in b.records.sorted() {
+        if !rb.hists.is_zero() && hists_of(a, site).is_none() {
             hist_sites.push(HistSiteDiff {
-                site: *site,
+                site,
                 a: SiteHists::default(),
-                b: *bh,
+                b: rb.hists,
             });
         }
     }
@@ -884,14 +885,11 @@ mod tests {
         );
         // Without a stamped meta mix the per-site table is summed instead.
         b.meta.mix = None;
-        b.backends.insert(
-            Ip::new(FuncId(1), 1),
-            BackendMix {
-                hle: 4,
-                switches: 1,
-                ..Default::default()
-            },
-        );
+        b.records.entry(Ip::new(FuncId(1), 1)).mix = BackendMix {
+            hle: 4,
+            switches: 1,
+            ..Default::default()
+        };
         let d = diff_profiles(&a, &b, &Thresholds::default());
         assert_eq!(d.b_mix.hle, 4);
         assert_eq!(d.b_mix.switches, 1);
@@ -909,8 +907,8 @@ mod tests {
             ah.record_completion(100, 1, None); // bucket 6, le 127
             bh.record_completion(900, 3, None); // bucket 9, le 1023
         }
-        a.hists.insert(site, ah);
-        b.hists.insert(site, bh);
+        a.records.entry(site).hists = ah;
+        b.records.entry(site).hists = bh;
         let d = diff_profiles(&a, &b, &Thresholds::default());
         assert_eq!(d.hist_sites.len(), 1);
         assert_eq!(d.hist_sites[0].d_p99_bucket(), Some(3));
@@ -939,7 +937,7 @@ mod tests {
         for _ in 0..10 {
             thin.record_completion(100, 1, None);
         }
-        a.hists.insert(site, thin);
+        a.records.entry(site).hists = thin;
         let d = diff_profiles(&a, &b, &Thresholds::default());
         assert_eq!(d.hist_sites.len(), 1);
         assert!(d.p99_regressions(2).is_empty());

@@ -1,122 +1,61 @@
 //! Per-context metrics: raw sample counts and the derived quantities of
 //! the paper's time analysis (§4) and abort analysis (§5).
 
-/// Raw sampled metrics accumulated on one calling-context node (exclusive —
-/// attributed at the sample's leaf; inclusive values are computed by the
-//  analyzer by summing subtrees).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Metrics {
-    /// Cycles samples anywhere (work W, Equation 1).
-    pub w: u64,
-    /// Cycles samples inside critical sections (T).
-    pub t: u64,
-    /// … attributed to the transactional path (T_tx).
-    pub t_tx: u64,
-    /// … attributed to the fallback path (T_fb).
-    pub t_fb: u64,
-    /// … attributed to lock waiting (T_wait).
-    pub t_wait: u64,
-    /// … attributed to transaction overhead (T_oh).
-    pub t_oh: u64,
-    /// `RTM_RETIRED:COMMIT` samples.
-    pub commit_samples: u64,
-    /// `RTM_RETIRED:ABORTED` samples, application-caused classes only.
-    pub abort_samples: u64,
-    /// Sampled abort weight (cycles wasted), total.
-    pub abort_weight: u64,
-    /// Abort samples per class.
-    pub aborts_conflict: u64,
-    /// Capacity-class abort samples.
-    pub aborts_capacity: u64,
-    /// Synchronous-class abort samples.
-    pub aborts_sync: u64,
-    /// Explicit-class abort samples (lock-held elision aborts etc.).
-    pub aborts_explicit: u64,
-    /// Sampled abort weight per class.
-    pub conflict_weight: u64,
-    /// Weight of capacity-class aborts.
-    pub capacity_weight: u64,
-    /// Weight of synchronous-class aborts.
-    pub sync_weight: u64,
-    /// Sampled memory accesses diagnosed as true sharing (§3.3).
-    pub true_sharing: u64,
-    /// Sampled memory accesses diagnosed as false sharing (§3.3).
-    pub false_sharing: u64,
-    /// … of `t_fb`: cycles on the fallback path spent speculating in
-    /// *software* (TL2 STM backend). The remainder of `t_fb` ran serially
-    /// under the lock.
-    pub t_fb_stm: u64,
-    /// Validation-class abort samples (STM commit-time read-set failures).
-    pub aborts_validation: u64,
-    /// Weight of validation-class aborts.
-    pub validation_weight: u64,
+rtm_runtime::counter_fields! {
+    /// Raw sampled metrics accumulated on one calling-context node
+    /// (exclusive — attributed at the sample's leaf; inclusive values are
+    /// computed by the analyzer by summing subtrees). Declaration order is
+    /// the store's metric-record order: new counters go at the end.
+    pub struct Metrics {
+        /// Cycles samples anywhere (work W, Equation 1).
+        pub w,
+        /// Cycles samples inside critical sections (T).
+        pub t,
+        /// … attributed to the transactional path (T_tx).
+        pub t_tx,
+        /// … attributed to the fallback path (T_fb).
+        pub t_fb,
+        /// … attributed to lock waiting (T_wait).
+        pub t_wait,
+        /// … attributed to transaction overhead (T_oh).
+        pub t_oh,
+        /// `RTM_RETIRED:COMMIT` samples.
+        pub commit_samples,
+        /// `RTM_RETIRED:ABORTED` samples, application-caused classes only.
+        pub abort_samples,
+        /// Sampled abort weight (cycles wasted), total.
+        pub abort_weight,
+        /// Abort samples per class.
+        pub aborts_conflict,
+        /// Capacity-class abort samples.
+        pub aborts_capacity,
+        /// Synchronous-class abort samples.
+        pub aborts_sync,
+        /// Explicit-class abort samples (lock-held elision aborts etc.).
+        pub aborts_explicit,
+        /// Sampled abort weight per class.
+        pub conflict_weight,
+        /// Weight of capacity-class aborts.
+        pub capacity_weight,
+        /// Weight of synchronous-class aborts.
+        pub sync_weight,
+        /// Sampled memory accesses diagnosed as true sharing (§3.3).
+        pub true_sharing,
+        /// Sampled memory accesses diagnosed as false sharing (§3.3).
+        pub false_sharing,
+        /// … of `t_fb`: cycles on the fallback path spent speculating in
+        /// *software* (TL2 STM backend). The remainder of `t_fb` ran
+        /// serially under the lock.
+        pub t_fb_stm,
+        /// Validation-class abort samples (STM commit-time read-set
+        /// failures).
+        pub aborts_validation,
+        /// Weight of validation-class aborts.
+        pub validation_weight,
+    }
 }
 
 impl Metrics {
-    /// Merge another node's counts into this one.
-    pub fn merge(&mut self, o: &Metrics) {
-        self.w += o.w;
-        self.t += o.t;
-        self.t_tx += o.t_tx;
-        self.t_fb += o.t_fb;
-        self.t_wait += o.t_wait;
-        self.t_oh += o.t_oh;
-        self.commit_samples += o.commit_samples;
-        self.abort_samples += o.abort_samples;
-        self.abort_weight += o.abort_weight;
-        self.aborts_conflict += o.aborts_conflict;
-        self.aborts_capacity += o.aborts_capacity;
-        self.aborts_sync += o.aborts_sync;
-        self.aborts_explicit += o.aborts_explicit;
-        self.conflict_weight += o.conflict_weight;
-        self.capacity_weight += o.capacity_weight;
-        self.sync_weight += o.sync_weight;
-        self.true_sharing += o.true_sharing;
-        self.false_sharing += o.false_sharing;
-        self.t_fb_stm += o.t_fb_stm;
-        self.aborts_validation += o.aborts_validation;
-        self.validation_weight += o.validation_weight;
-    }
-
-    /// Whether every counter is zero.
-    pub fn is_zero(&self) -> bool {
-        *self == Metrics::default()
-    }
-
-    /// Field-wise saturating difference `self - earlier`. All metrics are
-    /// monotone sample counts, so the difference of two cumulative
-    /// snapshots is the activity of the window between them (the live
-    /// hub's delta-vs-cumulative view).
-    pub fn minus(&self, earlier: &Metrics) -> Metrics {
-        Metrics {
-            w: self.w.saturating_sub(earlier.w),
-            t: self.t.saturating_sub(earlier.t),
-            t_tx: self.t_tx.saturating_sub(earlier.t_tx),
-            t_fb: self.t_fb.saturating_sub(earlier.t_fb),
-            t_wait: self.t_wait.saturating_sub(earlier.t_wait),
-            t_oh: self.t_oh.saturating_sub(earlier.t_oh),
-            commit_samples: self.commit_samples.saturating_sub(earlier.commit_samples),
-            abort_samples: self.abort_samples.saturating_sub(earlier.abort_samples),
-            abort_weight: self.abort_weight.saturating_sub(earlier.abort_weight),
-            aborts_conflict: self.aborts_conflict.saturating_sub(earlier.aborts_conflict),
-            aborts_capacity: self.aborts_capacity.saturating_sub(earlier.aborts_capacity),
-            aborts_sync: self.aborts_sync.saturating_sub(earlier.aborts_sync),
-            aborts_explicit: self.aborts_explicit.saturating_sub(earlier.aborts_explicit),
-            conflict_weight: self.conflict_weight.saturating_sub(earlier.conflict_weight),
-            capacity_weight: self.capacity_weight.saturating_sub(earlier.capacity_weight),
-            sync_weight: self.sync_weight.saturating_sub(earlier.sync_weight),
-            true_sharing: self.true_sharing.saturating_sub(earlier.true_sharing),
-            false_sharing: self.false_sharing.saturating_sub(earlier.false_sharing),
-            t_fb_stm: self.t_fb_stm.saturating_sub(earlier.t_fb_stm),
-            aborts_validation: self
-                .aborts_validation
-                .saturating_sub(earlier.aborts_validation),
-            validation_weight: self
-                .validation_weight
-                .saturating_sub(earlier.validation_weight),
-        }
-    }
-
     /// Average weight per sampled abort — the penalty metric w_t of
     /// Equation 3. `None` when no aborts were sampled.
     pub fn avg_abort_weight(&self) -> Option<f64> {
@@ -184,69 +123,9 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// Runtime-reported fallback-backend activity for one site (or a whole
-/// run): how many fallback completions each concrete flavor served, plus
-/// how often the adaptive policy switched the site. All fields are monotone
-/// counts, so the type composes exactly like [`Metrics`]: `merge` across
-/// threads/instances, `minus` between cumulative snapshots.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BackendMix {
-    /// Fallback completions serialized under the global lock.
-    pub lock: u64,
-    /// Fallback completions dispatched to the software TM.
-    pub stm: u64,
-    /// Fallback completions dispatched to the elided lock.
-    pub hle: u64,
-    /// Backend switches performed by the adaptive policy.
-    pub switches: u64,
-}
-
-impl BackendMix {
-    /// Total fallback completions across flavors.
-    pub fn total(&self) -> u64 {
-        self.lock + self.stm + self.hle
-    }
-
-    /// Whether every count is zero.
-    pub fn is_zero(&self) -> bool {
-        *self == BackendMix::default()
-    }
-
-    /// Add another mix's counts into this one.
-    pub fn merge(&mut self, o: &BackendMix) {
-        self.lock += o.lock;
-        self.stm += o.stm;
-        self.hle += o.hle;
-        self.switches += o.switches;
-    }
-
-    /// Field-wise saturating difference `self - earlier` (window between
-    /// two cumulative snapshots).
-    pub fn minus(&self, earlier: &BackendMix) -> BackendMix {
-        BackendMix {
-            lock: self.lock.saturating_sub(earlier.lock),
-            stm: self.stm.saturating_sub(earlier.stm),
-            hle: self.hle.saturating_sub(earlier.hle),
-            switches: self.switches.saturating_sub(earlier.switches),
-        }
-    }
-
-    /// The dominant flavor by completion count (`None` when nothing ran on
-    /// the fallback path). Ties resolve in lock → stm → hle order, matching
-    /// the runtime's own default-first preference.
-    pub fn choice(&self) -> Option<&'static str> {
-        if self.total() == 0 {
-            return None;
-        }
-        let mut best = ("lock", self.lock);
-        for (label, n) in [("stm", self.stm), ("hle", self.hle)] {
-            if n > best.1 {
-                best = (label, n);
-            }
-        }
-        Some(best.0)
-    }
-}
+/// Per-site fallback-backend activity; declared beside the other per-site
+/// families in [`rtm_runtime::site_record`].
+pub use rtm_runtime::BackendMix;
 
 /// Which timing component a cycles sample belongs to — the output of the
 /// paper's Figure 4 attribution algorithm.
@@ -333,6 +212,19 @@ mod tests {
     }
 
     #[test]
+    fn fields_follow_the_store_record_order() {
+        assert_eq!(Metrics::ARITY, 21);
+        let mut fields = [0u64; Metrics::ARITY];
+        for (i, f) in fields.iter_mut().enumerate() {
+            *f = i as u64 + 1;
+        }
+        let m = Metrics::from_fields(fields);
+        assert_eq!((m.w, m.t_oh, m.false_sharing), (1, 6, 18));
+        assert_eq!((m.t_fb_stm, m.validation_weight), (19, 21));
+        assert_eq!(m.to_fields(), fields);
+    }
+
+    #[test]
     fn merge_adds_fields() {
         let mut a = Metrics {
             w: 1,
@@ -393,37 +285,5 @@ mod tests {
             ..Metrics::default()
         };
         assert!(m.abort_commit_ratio().is_infinite());
-    }
-
-    #[test]
-    fn backend_mix_merges_diffs_and_chooses() {
-        let mut a = BackendMix {
-            lock: 2,
-            stm: 10,
-            hle: 1,
-            switches: 1,
-        };
-        let b = BackendMix {
-            lock: 1,
-            stm: 0,
-            hle: 8,
-            switches: 2,
-        };
-        a.merge(&b);
-        assert_eq!(a.total(), 22);
-        assert_eq!(a.choice(), Some("stm"));
-        let window = a.minus(&b);
-        assert_eq!(window.stm, 10);
-        assert_eq!(window.switches, 1);
-        assert!(b.minus(&a).is_zero(), "saturating, not wrapping");
-        assert_eq!(BackendMix::default().choice(), None);
-        // Ties prefer the runtime's default flavor.
-        let tie = BackendMix {
-            lock: 3,
-            stm: 3,
-            hle: 3,
-            switches: 0,
-        };
-        assert_eq!(tie.choice(), Some("lock"));
     }
 }

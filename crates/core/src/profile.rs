@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use rtm_runtime::{CmStats, Hist32, SiteHists};
+use rtm_runtime::{CmStats, Hist32, SiteHists, SiteMap};
 use txsim_pmu::{EventKind, Ip, SamplingConfig};
 
 use crate::cct::Cct;
@@ -62,41 +62,20 @@ pub struct ThreadProfile {
     /// Abort-event samples discounted as profiler-induced.
     pub interrupt_abort_samples: u64,
     /// Per transaction-site (commit samples, abort samples) — feeds the
-    /// per-thread histogram view.
+    /// per-thread histogram view. PMU-fed and kept per thread, never merged
+    /// across threads, which is why it is not part of `records`.
     pub sites: HashMap<Ip, (u64, u64)>,
-    /// Runtime-reported per-site fallback-backend activity (adaptive
-    /// backend only; empty under static backends). Fed by the harness from
-    /// the runtime's thread-private site tables, not from PMU samples.
-    pub backends: HashMap<Ip, BackendMix>,
-    /// Runtime-reported per-site latency/retry-depth histograms, fed by the
-    /// harness from the runtime's thread-private histogram tables. Empty
-    /// when the run did not enable histogram collection.
-    pub hists: HashMap<Ip, SiteHists>,
-    /// Runtime-reported per-site contention-management interventions
-    /// (yields, stalls, escalations, priority aborts). Empty when no
-    /// contention manager ever intervened.
-    pub cm: HashMap<Ip, CmStats>,
+    /// Runtime-reported per-site data (backend mix, latency/retry
+    /// histograms, contention-manager interventions), fed by the harness
+    /// from [`rtm_runtime::TmThread::take_site_delta`], not from PMU
+    /// samples.
+    pub records: SiteMap,
 }
 
 impl ThreadProfile {
     /// Mutable access to a site's (commits, aborts) counters.
     pub fn site_commits(&mut self, site: Ip) -> &mut (u64, u64) {
         self.sites.entry(site).or_insert((0, 0))
-    }
-
-    /// Mutable access to a site's backend-mix counters.
-    pub fn backend_mix(&mut self, site: Ip) -> &mut BackendMix {
-        self.backends.entry(site).or_default()
-    }
-
-    /// Mutable access to a site's latency/retry-depth histograms.
-    pub fn site_hists(&mut self, site: Ip) -> &mut SiteHists {
-        self.hists.entry(site).or_default()
-    }
-
-    /// Mutable access to a site's contention-management counters.
-    pub fn cm_stats(&mut self, site: Ip) -> &mut CmStats {
-        self.cm.entry(site).or_default()
     }
 
     /// Drain the accumulated data, leaving an empty profile that keeps its
@@ -113,9 +92,7 @@ impl ThreadProfile {
             truncated_paths: std::mem::take(&mut self.truncated_paths),
             interrupt_abort_samples: std::mem::take(&mut self.interrupt_abort_samples),
             sites: std::mem::take(&mut self.sites),
-            backends: std::mem::take(&mut self.backends),
-            hists: std::mem::take(&mut self.hists),
-            cm: std::mem::take(&mut self.cm),
+            records: std::mem::take(&mut self.records),
         }
     }
 
@@ -135,15 +112,7 @@ impl ThreadProfile {
             e.0 += commits;
             e.1 += aborts;
         }
-        for (site, mix) in &other.backends {
-            self.backend_mix(*site).merge(mix);
-        }
-        for (site, hists) in &other.hists {
-            self.site_hists(*site).merge(hists);
-        }
-        for (site, stats) in &other.cm {
-            self.cm_stats(*site).merge(stats);
-        }
+        self.records.merge(&other.records);
     }
 
     /// Whether the profile holds no samples at all.
@@ -151,9 +120,7 @@ impl ThreadProfile {
         self.samples == 0
             && self.cct.is_empty()
             && self.interrupt_abort_samples == 0
-            && self.backends.is_empty()
-            && self.hists.is_empty()
-            && self.cm.is_empty()
+            && self.records.is_empty()
     }
 }
 
@@ -224,15 +191,10 @@ pub struct Profile {
     pub truncated_paths: u64,
     /// Discounted profiler-induced abort samples.
     pub interrupt_abort_samples: u64,
-    /// Per-site fallback-backend activity merged across threads (adaptive
-    /// backend only; empty under static backends).
-    pub backends: HashMap<Ip, BackendMix>,
-    /// Per-site latency/retry-depth histograms merged across threads.
-    /// Empty when the run did not enable histogram collection.
-    pub hists: HashMap<Ip, SiteHists>,
-    /// Per-site contention-management interventions merged across threads.
-    /// Empty when no contention manager ever intervened.
-    pub cm: HashMap<Ip, CmStats>,
+    /// Runtime-reported per-site data merged across threads. Each family
+    /// of a record is empty when its source was off (see
+    /// [`rtm_runtime::SiteRecord`]).
+    pub records: SiteMap,
     /// Provenance of the run that produced this profile, if known.
     pub meta: RunMeta,
 }
@@ -317,15 +279,7 @@ impl Profile {
             entry.0 += c;
             entry.1 += a;
         }
-        for (site, mix) in &delta.backends {
-            self.backends.entry(*site).or_default().merge(mix);
-        }
-        for (site, h) in &delta.hists {
-            self.hists.entry(*site).or_default().merge(h);
-        }
-        for (site, s) in &delta.cm {
-            self.cm.entry(*site).or_default().merge(s);
-        }
+        self.records.merge(&delta.records);
     }
 
     /// A copy of this profile with every function id rewritten through `f`
@@ -361,30 +315,7 @@ impl Profile {
             samples: self.samples,
             truncated_paths: self.truncated_paths,
             interrupt_abort_samples: self.interrupt_abort_samples,
-            backends: self
-                .backends
-                .iter()
-                .fold(HashMap::new(), |mut acc, (site, mix)| {
-                    acc.entry(Ip::new(f(site.func), site.line))
-                        .or_default()
-                        .merge(mix);
-                    acc
-                }),
-            hists: self
-                .hists
-                .iter()
-                .fold(HashMap::new(), |mut acc, (site, h)| {
-                    acc.entry(Ip::new(f(site.func), site.line))
-                        .or_default()
-                        .merge(h);
-                    acc
-                }),
-            cm: self.cm.iter().fold(HashMap::new(), |mut acc, (site, s)| {
-                acc.entry(Ip::new(f(site.func), site.line))
-                    .or_default()
-                    .merge(s);
-                acc
-            }),
+            records: self.records.remap_funcs(f),
             meta: self.meta.clone(),
         }
     }
@@ -425,57 +356,41 @@ impl Profile {
                 e.1 += a;
             }
         }
-        for (site, mix) in &other.backends {
-            self.backends.entry(*site).or_default().merge(mix);
-        }
-        for (site, h) in &other.hists {
-            self.hists.entry(*site).or_default().merge(h);
-        }
-        for (site, s) in &other.cm {
-            self.cm.entry(*site).or_default().merge(s);
-        }
+        self.records.merge(&other.records);
     }
 
     /// Sum of per-site backend mixes — the run's overall fallback mix.
     pub fn backend_totals(&self) -> BackendMix {
-        let mut acc = BackendMix::default();
-        for mix in self.backends.values() {
-            acc.merge(mix);
-        }
-        acc
+        self.records.totals().mix
     }
 
     /// Sum of per-site contention-management counters — the run's overall
     /// CM intervention totals.
     pub fn cm_totals(&self) -> CmStats {
-        let mut acc = CmStats::default();
-        for s in self.cm.values() {
-            acc.merge(s);
-        }
-        acc
+        self.records.totals().cm
     }
 
     /// Committed-transaction duration histogram merged across all sites —
     /// the run-wide latency distribution behind the `/trend` p99 column.
     pub fn tx_cycles_totals(&self) -> Hist32 {
-        let mut acc = Hist32::default();
-        for h in self.hists.values() {
-            acc.merge(&h.tx_cycles);
-        }
-        acc
+        self.records.totals().hists.tx_cycles
     }
 
     /// Histogram sites ranked by retry-depth p99 bucket (descending), then
     /// by completion count — the ordering the percentiles report pass and
     /// the starvation diagnosis walk.
     pub fn hist_sites(&self) -> Vec<(Ip, &SiteHists)> {
-        let mut out: Vec<_> = self.hists.iter().map(|(ip, h)| (*ip, h)).collect();
-        out.sort_by_key(|(ip, h)| {
+        let mut out: Vec<_> = self
+            .records
+            .sorted()
+            .into_iter()
+            .filter(|(_, r)| !r.hists.is_zero())
+            .map(|(ip, r)| (ip, &r.hists))
+            .collect();
+        out.sort_by_key(|(_, h)| {
             (
                 std::cmp::Reverse(h.retry_depth.percentile_bucket(0.99)),
                 std::cmp::Reverse(h.retry_depth.count),
-                ip.func.0,
-                ip.line,
             )
         });
         out
@@ -702,72 +617,58 @@ mod tests {
     }
 
     #[test]
-    fn backend_mixes_flow_through_delta_absorb_and_remap() {
+    fn site_records_flow_through_delta_absorb_and_remap() {
         let site = Ip::new(FuncId(3), 7);
         let mut tp = ThreadProfile {
             tid: 0,
             ..ThreadProfile::default()
         };
-        tp.backend_mix(site).lock = 5;
-        tp.backend_mix(site).switches = 1;
-        assert!(!tp.is_empty(), "backend activity alone makes it non-empty");
+        let r = tp.records.entry(site);
+        r.mix.lock = 5;
+        r.mix.switches = 1;
+        r.hists.record_completion(100, 2, None);
+        r.hists.record_completion(900, 7, Some(400));
+        r.cm.yields = 4;
+        r.cm.priority_aborts = 2;
+        assert!(!tp.is_empty(), "runtime data alone makes it non-empty");
 
         let delta = tp.take_delta();
-        assert!(tp.backends.is_empty(), "take_delta drains the mix");
+        assert!(tp.records.is_empty(), "take_delta drains the records");
         let mut p = Profile::default();
         p.absorb_thread_delta(&delta);
-        assert_eq!(p.backends[&site].lock, 5);
-        assert_eq!(p.backend_totals().switches, 1);
+        assert_eq!(
+            p.records.get(site).unwrap(),
+            delta.records.get(site).unwrap()
+        );
 
         // Second delta from another thread merges additively.
         let mut tp2 = ThreadProfile {
             tid: 1,
             ..ThreadProfile::default()
         };
-        tp2.backend_mix(site).stm = 3;
+        tp2.records.entry(site).mix.stm = 3;
+        tp2.records.entry(site).cm.stalls = 3;
+        tp2.records.entry(site).cm.escalations = 1;
         p.absorb_thread_delta(&tp2.take_delta());
-        assert_eq!(p.backends[&site].stm, 3);
+        assert_eq!(p.records.get(site).unwrap().mix.stm, 3);
         assert_eq!(p.backend_totals().total(), 8);
-
-        // Fleet-merge and remap keep the mix keyed per site.
-        let mut fleet = Profile::default();
-        fleet.absorb_profile(&p, 0);
-        fleet.absorb_profile(&p, 1000);
-        assert_eq!(fleet.backends[&site].lock, 10);
-        let q = fleet.remap_funcs(&mut |f| FuncId(f.0 + 100));
-        assert_eq!(q.backends[&Ip::new(FuncId(103), 7)].stm, 6);
-        assert!(!q.backends.contains_key(&site));
-    }
-
-    #[test]
-    fn hists_flow_through_delta_absorb_and_remap() {
-        let site = Ip::new(FuncId(3), 7);
-        let mut tp = ThreadProfile {
-            tid: 0,
-            ..ThreadProfile::default()
-        };
-        tp.site_hists(site).record_completion(100, 2, None);
-        tp.site_hists(site).record_completion(900, 7, Some(400));
-        assert!(!tp.is_empty(), "histogram data alone makes it non-empty");
-
-        let delta = tp.take_delta();
-        assert!(tp.hists.is_empty(), "take_delta drains the histograms");
-        let mut p = Profile::default();
-        p.absorb_thread_delta(&delta);
-        assert_eq!(p.hists[&site].tx_cycles.count, 2);
-        assert_eq!(p.hists[&site].tx_cycles.sum, 1000);
-        assert_eq!(p.hists[&site].retry_depth.count, 2);
-        assert_eq!(p.hists[&site].fb_dwell.count, 1);
+        assert_eq!(p.backend_totals().switches, 1);
+        assert_eq!(p.cm_totals().total(), 10);
         assert_eq!(p.tx_cycles_totals().count, 2);
+        assert_eq!(p.tx_cycles_totals().sum, 1000);
 
-        // Fleet-merge and remap keep the histograms keyed per site.
+        // Fleet-merge and remap keep the record keyed per site.
         let mut fleet = Profile::default();
         fleet.absorb_profile(&p, 0);
         fleet.absorb_profile(&p, 1000);
-        assert_eq!(fleet.hists[&site].tx_cycles.count, 4);
+        let merged = fleet.records.get(site).unwrap();
+        assert_eq!(merged.mix.lock, 10);
+        assert_eq!(merged.hists.tx_cycles.count, 4);
+        assert_eq!(merged.cm.yields, 8);
         let q = fleet.remap_funcs(&mut |f| FuncId(f.0 + 100));
-        assert_eq!(q.hists[&Ip::new(FuncId(103), 7)].fb_dwell.count, 2);
-        assert!(!q.hists.contains_key(&site));
+        let moved = q.records.get(Ip::new(FuncId(103), 7)).unwrap();
+        assert_eq!(moved, merged);
+        assert!(q.records.get(site).is_none());
 
         // Ranking: the site exists and reports a p99 retry-depth bucket.
         let ranked = q.hist_sites();
@@ -776,41 +677,16 @@ mod tests {
     }
 
     #[test]
-    fn cm_stats_flow_through_delta_absorb_and_remap() {
-        let site = Ip::new(FuncId(3), 7);
-        let mut tp = ThreadProfile {
-            tid: 0,
-            ..ThreadProfile::default()
-        };
-        tp.cm_stats(site).yields = 4;
-        tp.cm_stats(site).priority_aborts = 2;
-        assert!(!tp.is_empty(), "CM activity alone makes it non-empty");
-
-        let delta = tp.take_delta();
-        assert!(tp.cm.is_empty(), "take_delta drains the CM counters");
+    fn hist_sites_skips_records_without_histograms() {
         let mut p = Profile::default();
-        p.absorb_thread_delta(&delta);
-        assert_eq!(p.cm[&site].yields, 4);
-
-        // Second delta from another thread merges additively.
-        let mut tp2 = ThreadProfile {
-            tid: 1,
-            ..ThreadProfile::default()
-        };
-        tp2.cm_stats(site).stalls = 3;
-        tp2.cm_stats(site).escalations = 1;
-        p.absorb_thread_delta(&tp2.take_delta());
-        assert_eq!(p.cm[&site].stalls, 3);
-        assert_eq!(p.cm_totals().total(), 10);
-
-        // Fleet-merge and remap keep the counters keyed per site.
-        let mut fleet = Profile::default();
-        fleet.absorb_profile(&p, 0);
-        fleet.absorb_profile(&p, 1000);
-        assert_eq!(fleet.cm[&site].yields, 8);
-        let q = fleet.remap_funcs(&mut |f| FuncId(f.0 + 100));
-        assert_eq!(q.cm[&Ip::new(FuncId(103), 7)].escalations, 2);
-        assert!(!q.cm.contains_key(&site));
+        p.records.entry(Ip::new(FuncId(1), 1)).cm.yields = 1;
+        p.records.entry(Ip::new(FuncId(2), 2)).mix.lock = 1;
+        assert!(p.hist_sites().is_empty());
+        p.records
+            .entry(Ip::new(FuncId(2), 2))
+            .hists
+            .record_completion(10, 1, None);
+        assert_eq!(p.hist_sites().len(), 1);
     }
 
     #[test]

@@ -596,13 +596,15 @@ fn backend_pass(view: &ProfileView, _opts: &ReportOptions) -> String {
         "fallback mix: lock {} stm {} hle {}  (backend switches: {})\n",
         mix.lock, mix.stm, mix.hle, mix.switches
     );
-    let mut sites: Vec<_> = p.backends.iter().collect();
-    sites.sort_by_key(|(site, _)| (site.func.0, site.line));
-    for (site, m) in sites {
+    for (site, r) in p.records.sorted() {
+        let m = &r.mix;
+        if m.is_zero() {
+            continue;
+        }
         writeln!(
             out,
             "  site {:<30} -> {:<4}  lock {:>6} stm {:>6} hle {:>6} switches {:>3}",
-            view.ip_name(*site),
+            view.ip_name(site),
             m.choice().unwrap_or("-"),
             m.lock,
             m.stm,
@@ -702,7 +704,15 @@ fn contention_pass(view: &ProfileView, _opts: &ReportOptions) -> String {
     // CM lines render only for runs that actually had a contention manager
     // in play (per-site interventions, or at least `cm=` provenance), so
     // reports of older profiles are byte-identical.
-    if !view.profile.cm.is_empty() || view.profile.meta.cm.is_some() {
+    let mut sites: Vec<_> = view
+        .profile
+        .records
+        .sorted()
+        .into_iter()
+        .map(|(site, r)| (site, &r.cm))
+        .filter(|(_, s)| !s.is_zero())
+        .collect();
+    if !sites.is_empty() || view.profile.meta.cm.is_some() {
         let t = view.profile.cm_totals();
         writeln!(
             out,
@@ -714,13 +724,12 @@ fn contention_pass(view: &ProfileView, _opts: &ReportOptions) -> String {
             t.priority_aborts
         )
         .unwrap();
-        let mut sites: Vec<_> = view.profile.cm.iter().collect();
-        sites.sort_by_key(|(site, s)| (std::cmp::Reverse(s.total()), site.func.0, site.line));
+        sites.sort_by_key(|(_, s)| std::cmp::Reverse(s.total()));
         for (site, s) in sites.into_iter().take(8) {
             writeln!(
                 out,
                 "  site {:<30} yields {:>7} stalls {:>7} escalations {:>5} priority-aborts {:>5}",
-                view.ip_name(*site),
+                view.ip_name(site),
                 s.yields,
                 s.stalls,
                 s.escalations,
@@ -979,14 +988,11 @@ mod tests {
             hle: 2,
             switches: 3,
         });
-        p.backends.insert(
-            Ip::new(FuncId(1), 12),
-            crate::metrics::BackendMix {
-                stm: 4,
-                switches: 1,
-                ..Default::default()
-            },
-        );
+        p.records.entry(Ip::new(FuncId(1), 12)).mix = crate::metrics::BackendMix {
+            stm: 4,
+            switches: 1,
+            ..Default::default()
+        };
         let view = ProfileView::from_registry(&p, &registry);
         let report = render_report(&view, &ReportOptions::default());
         assert!(
@@ -1009,7 +1015,7 @@ mod tests {
         );
 
         let site = Ip::new(FuncId(1), 12);
-        let h = p.hists.entry(site).or_default();
+        let h = &mut p.records.entry(site).hists;
         for _ in 0..98 {
             h.record_completion(100, 1, None);
         }

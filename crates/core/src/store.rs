@@ -6,11 +6,18 @@
 //! greps cleanly, and needs no external dependencies. The CCT serializes
 //! in id order — parents always precede children — so loading is a single
 //! forward pass.
+//!
+//! The body grammar is one table, [`RECORDS`]: each record's tag, the
+//! format version that introduced it, and its parser. Counter records
+//! (`node`/`thread` metrics, `backend`, `cm`, the `mix=` meta key) are
+//! written from and parsed into their struct's declared field list
+//! (`to_fields`/`from_fields`), so a counter's position on disk is its
+//! position in the declaration and nowhere else.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 
-use rtm_runtime::{Hist32, HIST_BUCKETS};
+use rtm_runtime::{BackendMix, CmStats, Hist32, SiteRecord, HIST_BUCKETS};
 use txsim_pmu::{FuncId, FuncRegistry, Ip};
 
 use crate::cct::{NodeKey, ROOT};
@@ -19,15 +26,11 @@ use crate::profile::{Periods, Profile, RunMeta, ThreadSummary};
 
 /// Format version written into the header.
 ///
-/// - v1: header + periods/func/node/thread/site records.
-/// - v2: adds an optional `meta` record (run provenance: workload name,
-///   thread count, cycles sampling period) directly after the header.
-/// - v3: metric records grow from 18 to 21 fields (`t_fb_stm`,
-///   `aborts_validation`, `validation_weight` — the STM fallback
-///   sub-breakdown), and `meta` learns the `fallback=` backend key.
-/// - v4: `meta` learns the `mix=` key (final fallback-execution mix of an
-///   adaptive run: `lock:stm:hle:switches`), and a new `backend` record
-///   carries the per-site mix. Metric arity is unchanged from v3.
+/// - v4 (the oldest still loaded): header, optional `meta` record (run
+///   provenance: `workload=`, `threads=`, `period=`, `fallback=`, and
+///   `mix=lock:stm:hle:switches` for adaptive runs), `periods`, `func`,
+///   `node`, `thread` (21-field metric records), `site`, and the per-site
+///   `backend` mix.
 /// - v5: a new `hist` record carries one per-site log-bucketed histogram
 ///   (`func line kind count sum b0..b31`, kind ∈ `tx_cycles` /
 ///   `retry_depth` / `fb_dwell`). Everything else is unchanged from v4.
@@ -36,13 +39,15 @@ use crate::profile::{Periods, Profile, RunMeta, ThreadSummary};
 ///   per-site intervention counters
 ///   (`func line yields stalls escalations priority_aborts`).
 ///
-/// The loader accepts all of them; pre-v3 files load with the new fields
-/// zero and no recorded backend, pre-v4 files with no recorded mix,
-/// pre-v5 files with no histograms, pre-v6 files with no CM provenance.
+/// v4 files load with no histograms, pre-v6 files with no CM provenance.
+/// v1–v3 (no provenance; 18-field metrics; no backend mix) are refused:
+/// no tool in this repository's history shipped a baseline in them, and
+/// their loader was a second metric arity exercised only by inputs the
+/// tests synthesized.
 pub const FORMAT_VERSION: u32 = 6;
 
 /// Oldest format version the loader still accepts.
-pub const MIN_FORMAT_VERSION: u32 = 1;
+pub const MIN_FORMAT_VERSION: u32 = 4;
 
 /// Function names carried alongside a profile: serialized func id → name.
 /// Optional in the format (`func` records); when present they make the
@@ -61,8 +66,9 @@ pub fn save_with_funcs(profile: &Profile, registry: &FuncRegistry) -> String {
     save_with_names(profile, &|id| registry.resolve(id).map(|f| f.name))
 }
 
-/// Every function id referenced by the profile's CCT and site tables.
-fn referenced_funcs(profile: &Profile) -> BTreeSet<u32> {
+/// Every function id referenced by the profile's CCT and site tables
+/// (`records` being the profile's site records).
+fn referenced_funcs(profile: &Profile, records: &[(Ip, &SiteRecord)]) -> BTreeSet<u32> {
     let mut ids = BTreeSet::new();
     for node in profile.cct.preorder() {
         match profile.cct.key(node) {
@@ -77,19 +83,9 @@ fn referenced_funcs(profile: &Profile) -> BTreeSet<u32> {
         }
     }
     for t in &profile.threads {
-        for site in t.sites.keys() {
-            ids.insert(site.func.0);
-        }
+        ids.extend(t.sites.keys().map(|site| site.func.0));
     }
-    for site in profile.backends.keys() {
-        ids.insert(site.func.0);
-    }
-    for site in profile.hists.keys() {
-        ids.insert(site.func.0);
-    }
-    for site in profile.cm.keys() {
-        ids.insert(site.func.0);
-    }
+    ids.extend(records.iter().map(|(site, _)| site.func.0));
     ids
 }
 
@@ -105,6 +101,24 @@ pub fn save_with_names(profile: &Profile, name_of: &dyn Fn(FuncId) -> Option<Str
     .unwrap();
     write_records(&mut out, profile, name_of);
     out
+}
+
+/// Append `fields` joined by `sep`.
+fn push_joined(out: &mut String, sep: char, fields: &[u64]) {
+    for (i, field) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(sep);
+        }
+        let _ = write!(out, "{field}");
+    }
+}
+
+/// Append one `tag func line c0 c1 …` record — the shape of every
+/// fixed-arity per-site counter family.
+fn push_site_counters(out: &mut String, tag: &str, site: Ip, counters: &[u64]) {
+    let _ = write!(out, "{tag}\t{}\t{}\t", site.func.0, site.line);
+    push_joined(out, '\t', counters);
+    out.push('\n');
 }
 
 /// Write every record after the header line — the body grammar shared by
@@ -125,11 +139,8 @@ fn write_records(out: &mut String, profile: &Profile, name_of: &dyn Fn(FuncId) -
             let _ = write!(out, "\tfallback={fallback}");
         }
         if let Some(mix) = &profile.meta.mix {
-            let _ = write!(
-                out,
-                "\tmix={}:{}:{}:{}",
-                mix.lock, mix.stm, mix.hle, mix.switches
-            );
+            out.push_str("\tmix=");
+            push_joined(out, ':', &mix.to_fields());
         }
         if let Some(cm) = &profile.meta.cm {
             let _ = write!(out, "\tcm={cm}");
@@ -142,7 +153,10 @@ fn write_records(out: &mut String, profile: &Profile, name_of: &dyn Fn(FuncId) -
         profile.periods.cycles, profile.periods.commit, profile.periods.abort, profile.periods.mem
     )
     .unwrap();
-    for id in referenced_funcs(profile) {
+    // Everything keyed by site is written in (func, line) order, so two
+    // saves of one profile are byte-identical.
+    let records = profile.records.sorted();
+    for id in referenced_funcs(profile, &records) {
         if let Some(name) = name_of(FuncId(id)) {
             writeln!(out, "func\t{id}\t{name}").unwrap();
         }
@@ -169,145 +183,52 @@ fn write_records(out: &mut String, profile: &Profile, name_of: &dyn Fn(FuncId) -
                 format!("stmt:{}:{}:{}", ip.func.0, ip.line, speculative as u8)
             }
         };
-        let m = profile.cct.metrics(node);
-        writeln!(
-            out,
-            "node\t{new_id}\t{parent}\t{key}\t{}",
-            metrics_fields(m)
-        )
-        .unwrap();
+        let _ = write!(out, "node\t{new_id}\t{parent}\t{key}\t");
+        push_joined(out, ' ', &profile.cct.metrics(node).to_fields());
+        out.push('\n');
     }
 
     for t in &profile.threads {
-        writeln!(out, "thread\t{}\t{}", t.tid, metrics_fields(&t.totals)).unwrap();
-        for (site, (c, a)) in &t.sites {
-            writeln!(
+        let _ = write!(out, "thread\t{}\t", t.tid);
+        push_joined(out, ' ', &t.totals.to_fields());
+        out.push('\n');
+        let mut sites: Vec<_> = t.sites.iter().collect();
+        sites.sort_by_key(|(site, _)| (site.func.0, site.line));
+        for (site, (c, a)) in sites {
+            let _ = writeln!(
                 out,
-                "site\t{}\t{}\t{}\t{}\t{}",
-                t.tid, site.func.0, site.line, c, a
-            )
-            .unwrap();
+                "site\t{}\t{}\t{}\t{c}\t{a}",
+                t.tid, site.func.0, site.line
+            );
         }
     }
 
-    // Per-site backend mix (v4), sorted for byte-stable output.
-    let mut backends: Vec<_> = profile.backends.iter().collect();
-    backends.sort_by_key(|(site, _)| (site.func.0, site.line));
-    for (site, mix) in backends {
-        writeln!(
-            out,
-            "backend\t{}\t{}\t{}\t{}\t{}\t{}",
-            site.func.0, site.line, mix.lock, mix.stm, mix.hle, mix.switches
-        )
-        .unwrap();
+    // The runtime-fed per-site families, one block of records per family;
+    // a site whose family is empty gets no record in that block.
+    for (site, r) in records.iter().filter(|(_, r)| !r.mix.is_zero()) {
+        push_site_counters(out, "backend", *site, &r.mix.to_fields());
     }
-
-    // Per-site histograms (v5), sorted for byte-stable output; empty
-    // component histograms are skipped entirely.
-    let mut hists: Vec<_> = profile.hists.iter().collect();
-    hists.sort_by_key(|(site, _)| (site.func.0, site.line));
-    for (site, h) in hists {
+    for (site, r) in &records {
         for (kind, hist) in [
-            ("tx_cycles", &h.tx_cycles),
-            ("retry_depth", &h.retry_depth),
-            ("fb_dwell", &h.fb_dwell),
+            ("tx_cycles", &r.hists.tx_cycles),
+            ("retry_depth", &r.hists.retry_depth),
+            ("fb_dwell", &r.hists.fb_dwell),
         ] {
             if hist.is_zero() {
                 continue;
             }
-            let buckets: Vec<String> = hist.buckets.iter().map(u64::to_string).collect();
-            writeln!(
+            let _ = write!(
                 out,
-                "hist\t{}\t{}\t{kind}\t{}\t{}\t{}",
-                site.func.0,
-                site.line,
-                hist.count,
-                hist.sum,
-                buckets.join(" ")
-            )
-            .unwrap();
+                "hist\t{}\t{}\t{kind}\t{}\t{}\t",
+                site.func.0, site.line, hist.count, hist.sum
+            );
+            push_joined(out, ' ', &hist.buckets);
+            out.push('\n');
         }
     }
-
-    // Per-site contention-management counters (v6), sorted for byte-stable
-    // output; all-zero entries are skipped entirely.
-    let mut cm: Vec<_> = profile.cm.iter().collect();
-    cm.sort_by_key(|(site, _)| (site.func.0, site.line));
-    for (site, s) in cm {
-        if s.is_zero() {
-            continue;
-        }
-        writeln!(
-            out,
-            "cm\t{}\t{}\t{}\t{}\t{}\t{}",
-            site.func.0, site.line, s.yields, s.stalls, s.escalations, s.priority_aborts
-        )
-        .unwrap();
+    for (site, r) in records.iter().filter(|(_, r)| !r.cm.is_zero()) {
+        push_site_counters(out, "cm", *site, &r.cm.to_fields());
     }
-}
-
-fn metrics_fields(m: &Metrics) -> String {
-    format!(
-        "{} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-        m.w,
-        m.t,
-        m.t_tx,
-        m.t_fb,
-        m.t_wait,
-        m.t_oh,
-        m.commit_samples,
-        m.abort_samples,
-        m.abort_weight,
-        m.aborts_conflict,
-        m.aborts_capacity,
-        m.aborts_sync,
-        m.aborts_explicit,
-        m.conflict_weight,
-        m.capacity_weight,
-        m.sync_weight,
-        m.true_sharing,
-        m.false_sharing,
-        m.t_fb_stm,
-        m.aborts_validation,
-        m.validation_weight,
-    )
-}
-
-fn parse_metrics(s: &str, version: u32) -> Result<Metrics, LoadError> {
-    let v: Vec<u64> = s
-        .split(' ')
-        .map(|f| f.parse().map_err(|_| LoadError::bad("metric field")))
-        .collect::<Result<_, _>>()?;
-    // Pre-v3 files carry 18 fields (the STM sub-breakdown loads as zero);
-    // v3 carries 21. The arity is pinned to the declared version so a
-    // truncated v3 line can never masquerade as a valid v2 record.
-    let expected = if version < 3 { 18 } else { 21 };
-    if v.len() != expected {
-        return Err(LoadError::bad("metric arity"));
-    }
-    Ok(Metrics {
-        w: v[0],
-        t: v[1],
-        t_tx: v[2],
-        t_fb: v[3],
-        t_wait: v[4],
-        t_oh: v[5],
-        commit_samples: v[6],
-        abort_samples: v[7],
-        abort_weight: v[8],
-        aborts_conflict: v[9],
-        aborts_capacity: v[10],
-        aborts_sync: v[11],
-        aborts_explicit: v[12],
-        conflict_weight: v[13],
-        capacity_weight: v[14],
-        sync_weight: v[15],
-        true_sharing: v[16],
-        false_sharing: v[17],
-        t_fb_stm: v.get(18).copied().unwrap_or(0),
-        aborts_validation: v.get(19).copied().unwrap_or(0),
-        validation_weight: v.get(20).copied().unwrap_or(0),
-    })
 }
 
 /// A malformed profile file.
@@ -333,6 +254,45 @@ impl std::fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
+/// The one fixed-arity numeric parser: exactly `N` `u64` fields. A field
+/// that is not a number fails with `field_err`; too few or too many fail
+/// with `arity_err` (a bad field wins over a bad count, wherever it sits).
+fn parse_u64s<'a, const N: usize>(
+    fields: impl Iterator<Item = &'a str>,
+    field_err: &str,
+    arity_err: &str,
+) -> Result<[u64; N], LoadError> {
+    let mut out = [0u64; N];
+    let mut seen = 0;
+    for field in fields {
+        let value = field.parse().map_err(|_| LoadError::bad(field_err))?;
+        if let Some(slot) = out.get_mut(seen) {
+            *slot = value;
+        }
+        seen += 1;
+    }
+    if seen != N {
+        return Err(LoadError::bad(arity_err));
+    }
+    Ok(out)
+}
+
+/// The next field parsed as `T`; `what` names it when missing or garbage.
+fn next_num<T: std::str::FromStr>(fields: &mut Fields<'_>, what: &str) -> Result<T, LoadError> {
+    fields
+        .next()
+        .and_then(|f| f.parse().ok())
+        .ok_or_else(|| LoadError::bad(what))
+}
+
+fn parse_metrics(s: &str) -> Result<Metrics, LoadError> {
+    parse_u64s(s.split(' '), "metric field", "metric arity").map(Metrics::from_fields)
+}
+
+fn site_ip(func: u64, line: u64) -> Ip {
+    Ip::new(FuncId(func as u32), line as u32)
+}
+
 fn parse_key(s: &str) -> Result<Option<NodeKey>, LoadError> {
     let parts: Vec<&str> = s.split(':').collect();
     match parts.as_slice() {
@@ -354,6 +314,15 @@ fn parse_key(s: &str) -> Result<Option<NodeKey>, LoadError> {
         })),
         _ => Err(LoadError::bad("node key")),
     }
+}
+
+/// The numeric `prefix`ed field of a header line.
+fn header_num(hfields: &[&str], prefix: &str) -> Result<u64, LoadError> {
+    hfields
+        .iter()
+        .find_map(|f| f.strip_prefix(prefix))
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| LoadError::bad(prefix))
 }
 
 /// Load a profile previously produced by [`save`] (function names, if
@@ -379,283 +348,271 @@ pub fn load_with_funcs(text: &str) -> Result<(Profile, FuncNames), LoadError> {
     if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
         return Err(LoadError::bad("version"));
     }
-    let header_num = |prefix: &str| -> Result<u64, LoadError> {
-        hfields
-            .iter()
-            .find_map(|f| f.strip_prefix(prefix))
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| LoadError::bad(prefix))
-    };
-    let samples = header_num("samples=")?;
-    let truncated_paths = header_num("truncated=")?;
-    let interrupt_abort_samples = header_num("interrupt_aborts=")?;
-
     let mut profile = Profile {
-        samples,
-        truncated_paths,
-        interrupt_abort_samples,
+        samples: header_num(&hfields, "samples=")?,
+        truncated_paths: header_num(&hfields, "truncated=")?,
+        interrupt_abort_samples: header_num(&hfields, "interrupt_aborts=")?,
         ..Profile::default()
     };
     parse_records(lines, version, &mut profile, &mut funcs)?;
     Ok((profile, funcs))
 }
 
+/// The fields of one record line after its tag.
+type Fields<'a> = std::str::Split<'a, char>;
+
+/// Parser of one record kind.
+type ParseFn = fn(&mut Loader<'_>, Fields<'_>) -> Result<(), LoadError>;
+
+/// The body grammar: every record tag, the format version that introduced
+/// it, and its parser. A file may only carry records its declared version
+/// knows — a hand-downgraded header does not get newer records past the
+/// loader — and this table is the only place a version is compared.
+const RECORDS: &[(&str, u32, ParseFn)] = &[
+    ("periods", MIN_FORMAT_VERSION, parse_periods),
+    ("meta", MIN_FORMAT_VERSION, parse_meta),
+    ("func", MIN_FORMAT_VERSION, parse_func),
+    ("node", MIN_FORMAT_VERSION, parse_node),
+    ("thread", MIN_FORMAT_VERSION, parse_thread),
+    ("site", MIN_FORMAT_VERSION, parse_site),
+    ("backend", MIN_FORMAT_VERSION, parse_backend),
+    ("hist", 5, parse_hist),
+    ("cm", 6, parse_cm),
+];
+
 /// Parse every record after the header line into `profile`/`funcs` — the
 /// body grammar shared by whole-profile files and delta chunks. `version`
-/// selects the metric arity (pre-v3 files carry 18 fields).
+/// is the one the header declared.
 fn parse_records<'a>(
     lines: impl Iterator<Item = &'a str>,
     version: u32,
     profile: &mut Profile,
     funcs: &mut FuncNames,
 ) -> Result<(), LoadError> {
-    // Map from serialized node id to live node id.
-    let mut ids: Vec<u32> = Vec::new();
+    let mut loader = Loader {
+        version,
+        profile,
+        funcs,
+        ids: Vec::new(),
+    };
     for line in lines {
         let mut fields = line.split('\t');
         match fields.next() {
-            Some("periods") => {
-                let vals: Vec<u64> = fields
-                    .map(|f| f.parse().map_err(|_| LoadError::bad("period")))
-                    .collect::<Result<_, _>>()?;
-                if vals.len() != 4 {
-                    return Err(LoadError::bad("period arity"));
-                }
-                profile.periods = Periods {
-                    cycles: vals[0],
-                    commit: vals[1],
-                    abort: vals[2],
-                    mem: vals[3],
-                };
-            }
-            Some("meta") => {
-                if !profile.meta.is_empty() {
-                    return Err(LoadError::bad("duplicate meta record"));
-                }
-                let mut meta = RunMeta::default();
-                for field in fields {
-                    let (key, value) = field
-                        .split_once('=')
-                        .ok_or_else(|| LoadError::bad("meta field"))?;
-                    match key {
-                        "workload" if !value.is_empty() && meta.workload.is_none() => {
-                            meta.workload = Some(value.to_string());
-                        }
-                        "threads" if meta.threads.is_none() => {
-                            meta.threads =
-                                Some(value.parse().map_err(|_| LoadError::bad("meta threads"))?);
-                        }
-                        "period" if meta.sample_period.is_none() => {
-                            meta.sample_period =
-                                Some(value.parse().map_err(|_| LoadError::bad("meta period"))?);
-                        }
-                        "fallback" if !value.is_empty() && meta.fallback.is_none() => {
-                            meta.fallback = Some(value.to_string());
-                        }
-                        "mix" if version >= 4 && meta.mix.is_none() => {
-                            let vals: Vec<u64> = value
-                                .split(':')
-                                .map(|f| f.parse().map_err(|_| LoadError::bad("meta mix")))
-                                .collect::<Result<_, _>>()?;
-                            if vals.len() != 4 {
-                                return Err(LoadError::bad("meta mix arity"));
-                            }
-                            meta.mix = Some(crate::metrics::BackendMix {
-                                lock: vals[0],
-                                stm: vals[1],
-                                hle: vals[2],
-                                switches: vals[3],
-                            });
-                        }
-                        "cm" if version >= 6 && !value.is_empty() && meta.cm.is_none() => {
-                            meta.cm = Some(value.to_string());
-                        }
-                        _ => return Err(LoadError::bad("meta field")),
-                    }
-                }
-                if meta.is_empty() {
-                    return Err(LoadError::bad("empty meta record"));
-                }
-                profile.meta = meta;
-            }
-            Some("func") => {
-                let id: u32 = fields
-                    .next()
-                    .and_then(|f| f.parse().ok())
-                    .ok_or_else(|| LoadError::bad("func id"))?;
-                let name = fields.next().ok_or_else(|| LoadError::bad("func name"))?;
-                if funcs.insert(id, name.to_string()).is_some() {
-                    return Err(LoadError::bad("duplicate func id"));
-                }
-            }
-            Some("node") => {
-                let id: usize = fields
-                    .next()
-                    .and_then(|f| f.parse().ok())
-                    .ok_or_else(|| LoadError::bad("node id"))?;
-                // Ids are the writer's visit order: strictly sequential.
-                // Anything else (duplicates, gaps, reordering) means the
-                // file was corrupted or hand-edited.
-                if id != ids.len() {
-                    return Err(LoadError::bad("node id out of sequence"));
-                }
-                let parent: usize = fields
-                    .next()
-                    .and_then(|f| f.parse().ok())
-                    .ok_or_else(|| LoadError::bad("node parent"))?;
-                let key = parse_key(fields.next().ok_or_else(|| LoadError::bad("node key"))?)?;
-                let metrics = parse_metrics(
-                    fields
-                        .next()
-                        .ok_or_else(|| LoadError::bad("node metrics"))?,
-                    version,
-                )?;
-                let live = match key {
-                    None => ROOT,
-                    Some(key) => {
-                        let parent_live = *ids
-                            .get(parent)
-                            .ok_or_else(|| LoadError::bad("forward parent reference"))?;
-                        profile.cct.child(parent_live, key)
-                    }
-                };
-                *profile.cct.metrics_mut(live) = metrics;
-                ids.push(live);
-            }
-            Some("thread") => {
-                let tid: usize = fields
-                    .next()
-                    .and_then(|f| f.parse().ok())
-                    .ok_or_else(|| LoadError::bad("thread id"))?;
-                let totals = parse_metrics(
-                    fields
-                        .next()
-                        .ok_or_else(|| LoadError::bad("thread totals"))?,
-                    version,
-                )?;
-                profile.threads.push(ThreadSummary {
-                    tid,
-                    totals,
-                    sites: Default::default(),
-                });
-            }
-            Some("site") => {
-                let vals: Vec<u64> = fields
-                    .map(|f| f.parse().map_err(|_| LoadError::bad("site field")))
-                    .collect::<Result<_, _>>()?;
-                if vals.len() != 5 {
-                    return Err(LoadError::bad("site arity"));
-                }
-                let t = profile
-                    .threads
-                    .iter_mut()
-                    .find(|t| t.tid == vals[0] as usize)
-                    .ok_or_else(|| LoadError::bad("site before thread"))?;
-                t.sites.insert(
-                    Ip::new(FuncId(vals[1] as u32), vals[2] as u32),
-                    (vals[3], vals[4]),
-                );
-            }
-            Some("backend") if version >= 4 => {
-                let vals: Vec<u64> = fields
-                    .map(|f| f.parse().map_err(|_| LoadError::bad("backend field")))
-                    .collect::<Result<_, _>>()?;
-                if vals.len() != 6 {
-                    return Err(LoadError::bad("backend arity"));
-                }
-                let site = Ip::new(FuncId(vals[0] as u32), vals[1] as u32);
-                if profile.backends.contains_key(&site) {
-                    return Err(LoadError::bad("duplicate backend record"));
-                }
-                profile.backends.insert(
-                    site,
-                    crate::metrics::BackendMix {
-                        lock: vals[2],
-                        stm: vals[3],
-                        hle: vals[4],
-                        switches: vals[5],
-                    },
-                );
-            }
-            Some("hist") if version >= 5 => {
-                let func: u32 = fields
-                    .next()
-                    .and_then(|f| f.parse().ok())
-                    .ok_or_else(|| LoadError::bad("hist func"))?;
-                let line_no: u32 = fields
-                    .next()
-                    .and_then(|f| f.parse().ok())
-                    .ok_or_else(|| LoadError::bad("hist line"))?;
-                let kind = fields.next().ok_or_else(|| LoadError::bad("hist kind"))?;
-                let count: u64 = fields
-                    .next()
-                    .and_then(|f| f.parse().ok())
-                    .ok_or_else(|| LoadError::bad("hist count"))?;
-                let sum: u64 = fields
-                    .next()
-                    .and_then(|f| f.parse().ok())
-                    .ok_or_else(|| LoadError::bad("hist sum"))?;
-                let buckets: Vec<u64> = fields
-                    .next()
-                    .ok_or_else(|| LoadError::bad("hist buckets"))?
-                    .split(' ')
-                    .map(|f| f.parse().map_err(|_| LoadError::bad("hist bucket")))
-                    .collect::<Result<_, _>>()?;
-                if fields.next().is_some() {
-                    return Err(LoadError::bad("hist arity"));
-                }
-                let buckets: [u64; HIST_BUCKETS] = buckets
-                    .try_into()
-                    .map_err(|_| LoadError::bad("hist bucket arity"))?;
-                if buckets.iter().sum::<u64>() != count {
-                    return Err(LoadError::bad("hist count mismatch"));
-                }
-                let hist = Hist32 {
-                    buckets,
-                    sum,
-                    count,
-                };
-                if hist.is_zero() {
-                    return Err(LoadError::bad("empty hist record"));
-                }
-                let site = Ip::new(FuncId(func), line_no);
-                let entry = profile.hists.entry(site).or_default();
-                let slot = match kind {
-                    "tx_cycles" => &mut entry.tx_cycles,
-                    "retry_depth" => &mut entry.retry_depth,
-                    "fb_dwell" => &mut entry.fb_dwell,
-                    _ => return Err(LoadError::bad("hist kind")),
-                };
-                if !slot.is_zero() {
-                    return Err(LoadError::bad("duplicate hist record"));
-                }
-                *slot = hist;
-            }
-            Some("cm") if version >= 6 => {
-                let vals: Vec<u64> = fields
-                    .map(|f| f.parse().map_err(|_| LoadError::bad("cm field")))
-                    .collect::<Result<_, _>>()?;
-                if vals.len() != 6 {
-                    return Err(LoadError::bad("cm arity"));
-                }
-                let site = Ip::new(FuncId(vals[0] as u32), vals[1] as u32);
-                if profile.cm.contains_key(&site) {
-                    return Err(LoadError::bad("duplicate cm record"));
-                }
-                let stats = rtm_runtime::CmStats {
-                    yields: vals[2],
-                    stalls: vals[3],
-                    escalations: vals[4],
-                    priority_aborts: vals[5],
-                };
-                if stats.is_zero() {
-                    return Err(LoadError::bad("empty cm record"));
-                }
-                profile.cm.insert(site, stats);
-            }
             Some("") | None => {}
-            Some(other) => return Err(LoadError::bad(other)),
+            Some(tag) => {
+                let parse = loader.parser(tag).ok_or_else(|| LoadError::bad(tag))?;
+                parse(&mut loader, fields)?;
+            }
         }
+    }
+    Ok(())
+}
+
+/// What the record parsers fill in.
+struct Loader<'p> {
+    version: u32,
+    profile: &'p mut Profile,
+    funcs: &'p mut FuncNames,
+    /// Map from serialized node id to live node id.
+    ids: Vec<u32>,
+}
+
+impl Loader<'_> {
+    /// The parser for `tag`, if a file of this version may carry it.
+    fn parser(&self, tag: &str) -> Option<ParseFn> {
+        RECORDS
+            .iter()
+            .find(|(t, since, _)| *t == tag && *since <= self.version)
+            .map(|(_, _, parse)| *parse)
+    }
+}
+
+fn parse_periods(l: &mut Loader<'_>, fields: Fields<'_>) -> Result<(), LoadError> {
+    let [cycles, commit, abort, mem] = parse_u64s(fields, "period", "period arity")?;
+    l.profile.periods = Periods {
+        cycles,
+        commit,
+        abort,
+        mem,
+    };
+    Ok(())
+}
+
+fn parse_meta(l: &mut Loader<'_>, fields: Fields<'_>) -> Result<(), LoadError> {
+    if !l.profile.meta.is_empty() {
+        return Err(LoadError::bad("duplicate meta record"));
+    }
+    let mut meta = RunMeta::default();
+    for field in fields {
+        let (key, value) = field
+            .split_once('=')
+            .ok_or_else(|| LoadError::bad("meta field"))?;
+        match key {
+            "workload" if !value.is_empty() && meta.workload.is_none() => {
+                meta.workload = Some(value.to_string());
+            }
+            "threads" if meta.threads.is_none() => {
+                meta.threads = Some(value.parse().map_err(|_| LoadError::bad("meta threads"))?);
+            }
+            "period" if meta.sample_period.is_none() => {
+                meta.sample_period =
+                    Some(value.parse().map_err(|_| LoadError::bad("meta period"))?);
+            }
+            "fallback" if !value.is_empty() && meta.fallback.is_none() => {
+                meta.fallback = Some(value.to_string());
+            }
+            "mix" if meta.mix.is_none() => {
+                let mix = parse_u64s(value.split(':'), "meta mix", "meta mix arity")?;
+                meta.mix = Some(BackendMix::from_fields(mix));
+            }
+            // The `cm=` key arrived with the `cm` record.
+            "cm" if l.parser("cm").is_some() && !value.is_empty() && meta.cm.is_none() => {
+                meta.cm = Some(value.to_string());
+            }
+            _ => return Err(LoadError::bad("meta field")),
+        }
+    }
+    if meta.is_empty() {
+        return Err(LoadError::bad("empty meta record"));
+    }
+    l.profile.meta = meta;
+    Ok(())
+}
+
+fn parse_func(l: &mut Loader<'_>, mut fields: Fields<'_>) -> Result<(), LoadError> {
+    let id: u32 = next_num(&mut fields, "func id")?;
+    let name = fields.next().ok_or_else(|| LoadError::bad("func name"))?;
+    if l.funcs.insert(id, name.to_string()).is_some() {
+        return Err(LoadError::bad("duplicate func id"));
+    }
+    Ok(())
+}
+
+fn parse_node(l: &mut Loader<'_>, mut fields: Fields<'_>) -> Result<(), LoadError> {
+    let id: usize = next_num(&mut fields, "node id")?;
+    // Ids are the writer's visit order: strictly sequential. Anything
+    // else (duplicates, gaps, reordering) means the file was corrupted
+    // or hand-edited.
+    if id != l.ids.len() {
+        return Err(LoadError::bad("node id out of sequence"));
+    }
+    let parent: usize = next_num(&mut fields, "node parent")?;
+    let key = parse_key(fields.next().ok_or_else(|| LoadError::bad("node key"))?)?;
+    let metrics = parse_metrics(
+        fields
+            .next()
+            .ok_or_else(|| LoadError::bad("node metrics"))?,
+    )?;
+    let live = match key {
+        None => ROOT,
+        Some(key) => {
+            let parent_live = *l
+                .ids
+                .get(parent)
+                .ok_or_else(|| LoadError::bad("forward parent reference"))?;
+            l.profile.cct.child(parent_live, key)
+        }
+    };
+    *l.profile.cct.metrics_mut(live) = metrics;
+    l.ids.push(live);
+    Ok(())
+}
+
+fn parse_thread(l: &mut Loader<'_>, mut fields: Fields<'_>) -> Result<(), LoadError> {
+    let tid: usize = next_num(&mut fields, "thread id")?;
+    let totals = parse_metrics(
+        fields
+            .next()
+            .ok_or_else(|| LoadError::bad("thread totals"))?,
+    )?;
+    l.profile.threads.push(ThreadSummary {
+        tid,
+        totals,
+        sites: Default::default(),
+    });
+    Ok(())
+}
+
+fn parse_site(l: &mut Loader<'_>, fields: Fields<'_>) -> Result<(), LoadError> {
+    let [tid, func, line, commits, aborts] = parse_u64s(fields, "site field", "site arity")?;
+    let t = l
+        .profile
+        .threads
+        .iter_mut()
+        .find(|t| t.tid == tid as usize)
+        .ok_or_else(|| LoadError::bad("site before thread"))?;
+    t.sites.insert(site_ip(func, line), (commits, aborts));
+    Ok(())
+}
+
+fn parse_backend(l: &mut Loader<'_>, fields: Fields<'_>) -> Result<(), LoadError> {
+    let [func, line, counters @ ..] =
+        parse_u64s::<{ BackendMix::ARITY + 2 }>(fields, "backend field", "backend arity")?;
+    let mix = &mut l.profile.records.entry(site_ip(func, line)).mix;
+    if !mix.is_zero() {
+        return Err(LoadError::bad("duplicate backend record"));
+    }
+    *mix = BackendMix::from_fields(counters);
+    // The writer skips empty families, so an all-zero record is not
+    // something `save` produced (and would defeat the duplicate check).
+    if mix.is_zero() {
+        return Err(LoadError::bad("empty backend record"));
+    }
+    Ok(())
+}
+
+fn parse_hist(l: &mut Loader<'_>, mut fields: Fields<'_>) -> Result<(), LoadError> {
+    let func: u32 = next_num(&mut fields, "hist func")?;
+    let line: u32 = next_num(&mut fields, "hist line")?;
+    let kind = fields.next().ok_or_else(|| LoadError::bad("hist kind"))?;
+    let count: u64 = next_num(&mut fields, "hist count")?;
+    let sum: u64 = next_num(&mut fields, "hist sum")?;
+    let buckets: [u64; HIST_BUCKETS] = parse_u64s(
+        fields
+            .next()
+            .ok_or_else(|| LoadError::bad("hist buckets"))?
+            .split(' '),
+        "hist bucket",
+        "hist bucket arity",
+    )?;
+    if fields.next().is_some() {
+        return Err(LoadError::bad("hist arity"));
+    }
+    if buckets.iter().sum::<u64>() != count {
+        return Err(LoadError::bad("hist count mismatch"));
+    }
+    let hist = Hist32 {
+        buckets,
+        sum,
+        count,
+    };
+    if hist.is_zero() {
+        return Err(LoadError::bad("empty hist record"));
+    }
+    let hists = &mut l.profile.records.entry(Ip::new(FuncId(func), line)).hists;
+    let slot = match kind {
+        "tx_cycles" => &mut hists.tx_cycles,
+        "retry_depth" => &mut hists.retry_depth,
+        "fb_dwell" => &mut hists.fb_dwell,
+        _ => return Err(LoadError::bad("hist kind")),
+    };
+    if !slot.is_zero() {
+        return Err(LoadError::bad("duplicate hist record"));
+    }
+    *slot = hist;
+    Ok(())
+}
+
+fn parse_cm(l: &mut Loader<'_>, fields: Fields<'_>) -> Result<(), LoadError> {
+    let [func, line, counters @ ..] =
+        parse_u64s::<{ CmStats::ARITY + 2 }>(fields, "cm field", "cm arity")?;
+    let stats = &mut l.profile.records.entry(site_ip(func, line)).cm;
+    if !stats.is_zero() {
+        return Err(LoadError::bad("duplicate cm record"));
+    }
+    *stats = CmStats::from_fields(counters);
+    if stats.is_zero() {
+        return Err(LoadError::bad("empty cm record"));
     }
     Ok(())
 }
@@ -740,15 +697,8 @@ pub fn load_delta(text: &str) -> Result<DeltaChunk, LoadError> {
     if version != DELTA_FORMAT_VERSION {
         return Err(LoadError::bad("delta version"));
     }
-    let header_num = |prefix: &str| -> Result<u64, LoadError> {
-        hfields
-            .iter()
-            .find_map(|f| f.strip_prefix(prefix))
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| LoadError::bad(prefix))
-    };
-    let since = header_num("since=")?;
-    let to = header_num("to=")?;
+    let since = header_num(&hfields, "since=")?;
+    let to = header_num(&hfields, "to=")?;
     let full = match hfields.iter().find_map(|f| f.strip_prefix("kind=")) {
         Some("full") => true,
         Some("delta") => false,
@@ -758,9 +708,9 @@ pub fn load_delta(text: &str) -> Result<DeltaChunk, LoadError> {
         return Err(LoadError::bad("delta range"));
     }
     let mut profile = Profile {
-        samples: header_num("samples=")?,
-        truncated_paths: header_num("truncated=")?,
-        interrupt_abort_samples: header_num("interrupt_aborts=")?,
+        samples: header_num(&hfields, "samples=")?,
+        truncated_paths: header_num(&hfields, "truncated=")?,
+        interrupt_abort_samples: header_num(&hfields, "interrupt_aborts=")?,
         ..Profile::default()
     };
     let mut funcs = FuncNames::new();
@@ -835,6 +785,59 @@ mod tests {
         p
     }
 
+    /// `sample_profile()` grown to carry every record kind the format has
+    /// — the profile `tests/golden/store_v6.txsp` was saved from.
+    fn full_profile() -> Profile {
+        let mut p = sample_profile();
+        p.meta = RunMeta {
+            workload: Some("golden".to_string()),
+            threads: Some(2),
+            sample_period: Some(50_000),
+            fallback: Some("adaptive".to_string()),
+            mix: Some(BackendMix::from_fields([7, 5, 3, 2])),
+            cm: Some("karma".to_string()),
+        };
+        let hot = Ip::new(FuncId(9), 55);
+        let entry = Ip::new(FuncId(1), 42);
+        let mid = Ip::new(FuncId(3), 50);
+        p.threads[0].sites.insert(mid, (4, 1));
+        p.threads[0].sites.insert(hot, (0, 3));
+        p.threads[1].sites.insert(hot, (6, 0));
+        p.records.entry(entry).mix = BackendMix::from_fields([7, 0, 0, 0]);
+        p.records.entry(hot).mix = BackendMix::from_fields([0, 5, 3, 2]);
+        let h = &mut p.records.entry(hot).hists;
+        h.record_completion(100, 1, None);
+        h.record_completion(9000, 7, Some(4000));
+        h.record_completion(70_000, 40, Some(65_000));
+        p.records.entry(entry).hists.record_completion(64, 2, None);
+        p.records.entry(hot).cm = CmStats::from_fields([11, 4, 0, 2]);
+        p.records.entry(mid).cm = CmStats::from_fields([0, 0, 3, 0]);
+        p
+    }
+
+    fn golden_names() -> FuncNames {
+        [(1, "main"), (3, "work"), (9, "hot")]
+            .into_iter()
+            .map(|(id, name)| (id, name.to_string()))
+            .collect()
+    }
+
+    /// The golden was written by the last commit before the per-site
+    /// families and the field lists were unified: the refactored writer
+    /// must produce it byte for byte, and loading it must lose nothing.
+    #[test]
+    fn golden_v6_file_is_what_save_writes_and_a_fixed_point_of_load() {
+        let golden = include_str!("../tests/golden/store_v6.txsp");
+        let names = golden_names();
+        let written = save_with_names(&full_profile(), &|id| names.get(&id.0).cloned());
+        assert_eq!(written, golden);
+        let (loaded, loaded_names) = load_with_funcs(golden).expect("golden loads");
+        assert_eq!(loaded_names, names);
+        assert_eq!(loaded.records, full_profile().records);
+        let again = save_with_names(&loaded, &|id| loaded_names.get(&id.0).cloned());
+        assert_eq!(again, golden);
+    }
+
     #[test]
     fn roundtrip_preserves_everything() {
         let p = sample_profile();
@@ -858,10 +861,24 @@ mod tests {
 
     #[test]
     fn save_is_stable_under_roundtrip() {
-        let p = sample_profile();
+        // Enough sites per thread that hash order and sorted order differ:
+        // `site` records are written sorted, like every other record.
+        let mut p = full_profile();
+        for line in 0..16 {
+            p.threads[1]
+                .sites
+                .insert(Ip::new(FuncId(20 - line), line), (1, 0));
+        }
         let text = save(&p);
         let text2 = save(&load(&text).unwrap());
         assert_eq!(text, text2, "save∘load must be idempotent");
+        let sites: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("site\t5\t"))
+            .collect();
+        assert_eq!(sites.len(), 17);
+        assert_eq!(sites[0], "site\t5\t5\t15\t1\t0");
+        assert_eq!(sites[16], "site\t5\t20\t0\t1\t0");
     }
 
     #[test]
@@ -914,24 +931,8 @@ mod tests {
         assert!(load(&gapped).is_err());
     }
 
-    /// Rewrite every metric record down to the pre-v3 18-field arity,
-    /// emulating what a v1/v2 writer produced.
-    fn strip_stm_fields(text: &str) -> String {
-        text.lines()
-            .map(|l| {
-                if l.starts_with("node\t") || l.starts_with("thread\t") {
-                    let fields: Vec<&str> = l.rsplitn(2, '\t').collect();
-                    let vals: Vec<&str> = fields[0].split(' ').collect();
-                    format!("{}\t{}\n", fields[1], vals[..18].join(" "))
-                } else {
-                    format!("{l}\n")
-                }
-            })
-            .collect()
-    }
-
     #[test]
-    fn meta_roundtrips_and_v1_files_still_load() {
+    fn meta_roundtrips() {
         let mut p = sample_profile();
         p.meta = RunMeta {
             workload: Some("histo".to_string()),
@@ -960,40 +961,35 @@ mod tests {
         let bare = save(&sample_profile());
         assert!(!bare.contains("\nmeta"));
         assert!(load(&bare).unwrap().meta.is_empty());
-
-        // A headerless v1 file (what every pre-v2 run wrote) still loads,
-        // with empty provenance.
-        let v1 = strip_stm_fields(&bare.replacen("\tv6\t", "\tv1\t", 1));
-        let q = load(&v1).expect("v1 files still load");
-        assert_eq!(q.totals(), sample_profile().totals());
-        assert!(q.meta.is_empty());
     }
 
     #[test]
-    fn v2_files_with_18_metric_fields_still_load() {
-        // A pre-v3 writer emitted 18-field metric records; the loader must
-        // accept them with the STM sub-breakdown zero.
-        let p = sample_profile();
-        let text = strip_stm_fields(&save(&p).replacen("\tv6\t", "\tv2\t", 1));
-        let q = load(&text).expect("v2 18-field files still load");
-        let t = q.totals();
-        assert_eq!(t.w, p.totals().w);
-        assert_eq!(t.t_fb_stm, 0);
-        assert_eq!(t.aborts_validation, 0);
-        assert_eq!(t.validation_weight, 0);
-        // But a record with a nonsense arity is still rejected.
-        let chopped = text
+    fn rejects_wrong_metric_arity() {
+        let text = save(&sample_profile());
+        let thread = text
             .lines()
-            .map(|l| {
-                if l.starts_with("thread\t0\t") {
-                    l.rsplit_once(' ').unwrap().0.to_string()
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(load(&chopped).is_err(), "17 fields must be rejected");
+            .find(|l| l.starts_with("thread\t0\t"))
+            .unwrap()
+            .to_string();
+        // 20 fields (one chopped — what a pre-v3 writer's 18 looked like
+        // too), 22 fields, and a non-numeric field are all malformed.
+        let chopped = thread.rsplit_once(' ').unwrap().0;
+        assert_eq!(
+            load(&text.replace(&thread, chopped)).unwrap_err().what,
+            "metric arity"
+        );
+        assert_eq!(
+            load(&text.replace(&thread, &format!("{thread} 0")))
+                .unwrap_err()
+                .what,
+            "metric arity"
+        );
+        assert_eq!(
+            load(&text.replace(&thread, &format!("{chopped} x")))
+                .unwrap_err()
+                .what,
+            "metric field"
+        );
     }
 
     #[test]
@@ -1039,7 +1035,6 @@ mod tests {
 
     #[test]
     fn v4_mix_and_backend_records_roundtrip() {
-        use crate::metrics::BackendMix;
         let mut p = sample_profile();
         p.meta.fallback = Some("adaptive".to_string());
         p.meta.mix = Some(BackendMix {
@@ -1048,31 +1043,25 @@ mod tests {
             hle: 3,
             switches: 2,
         });
-        p.backends.insert(
-            Ip::new(FuncId(1), 42),
-            BackendMix {
-                lock: 7,
-                stm: 0,
-                hle: 0,
-                switches: 0,
-            },
-        );
-        p.backends.insert(
-            Ip::new(FuncId(9), 55),
-            BackendMix {
-                lock: 0,
-                stm: 5,
-                hle: 3,
-                switches: 2,
-            },
-        );
+        p.records.entry(Ip::new(FuncId(1), 42)).mix = BackendMix {
+            lock: 7,
+            stm: 0,
+            hle: 0,
+            switches: 0,
+        };
+        p.records.entry(Ip::new(FuncId(9), 55)).mix = BackendMix {
+            lock: 0,
+            stm: 5,
+            hle: 3,
+            switches: 2,
+        };
         let text = save(&p);
         assert!(text.contains("fallback=adaptive\tmix=7:5:3:2"));
         assert!(text.contains("backend\t1\t42\t7\t0\t0\t0\n"));
         assert!(text.contains("backend\t9\t55\t0\t5\t3\t2\n"));
         let q = load(&text).expect("v4 roundtrip");
         assert_eq!(q.meta.mix, p.meta.mix);
-        assert_eq!(q.backends, p.backends);
+        assert_eq!(q.records, p.records);
         assert_eq!(q.backend_totals().total(), 15);
         // save∘load stays byte-stable with mix records present.
         assert_eq!(save(&q), text);
@@ -1082,60 +1071,10 @@ mod tests {
     }
 
     #[test]
-    fn pre_v4_files_reject_mix_and_backend_records() {
-        let mut p = sample_profile();
-        p.meta.fallback = Some("adaptive".to_string());
-        p.meta.mix = Some(crate::metrics::BackendMix {
-            lock: 1,
-            stm: 2,
-            hle: 3,
-            switches: 4,
-        });
-        p.backends
-            .insert(Ip::new(FuncId(1), 42), Default::default());
-        let text = save(&p);
-        // A file claiming v3 may not carry v4 records: strict loaders keep
-        // hand-downgraded files honest.
-        let downgraded = text.replacen("\tv6\t", "\tv3\t", 1);
-        assert!(load(&downgraded).is_err());
-        // But the same v3 file without the v4 records loads fine.
-        let cleaned: String = downgraded
-            .lines()
-            .filter(|l| !l.starts_with("backend\t"))
-            .map(|l| {
-                if l.starts_with("meta\t") {
-                    l.split('\t')
-                        .filter(|f| !f.starts_with("mix="))
-                        .collect::<Vec<_>>()
-                        .join("\t")
-                        + "\n"
-                } else {
-                    format!("{l}\n")
-                }
-            })
-            .collect();
-        let q = load(&cleaned).expect("v3 without v4 records loads");
-        assert_eq!(q.meta.mix, None);
-        assert!(q.backends.is_empty());
-        assert_eq!(q.meta.fallback.as_deref(), Some("adaptive"));
-    }
-
-    #[test]
     fn rejects_malformed_mix_and_backend_records() {
         let mut p = sample_profile();
-        p.meta.mix = Some(crate::metrics::BackendMix {
-            lock: 1,
-            stm: 2,
-            hle: 3,
-            switches: 4,
-        });
-        p.backends.insert(
-            Ip::new(FuncId(1), 42),
-            crate::metrics::BackendMix {
-                lock: 5,
-                ..Default::default()
-            },
-        );
+        p.meta.mix = Some(BackendMix::from_fields([1, 2, 3, 4]));
+        p.records.entry(Ip::new(FuncId(1), 42)).mix.lock = 5;
         let text = save(&p);
         assert!(load(&text.replace("mix=1:2:3:4", "mix=1:2:3")).is_err());
         assert!(load(&text.replace("mix=1:2:3:4", "mix=1:2:3:x")).is_err());
@@ -1145,25 +1084,21 @@ mod tests {
         assert!(load(&text.replace(backend_line, "backend\t1\t42\t5\t0\t0\tx")).is_err());
         let dup = text.replace(backend_line, &format!("{backend_line}\n{backend_line}"));
         assert!(load(&dup).is_err(), "duplicate site must be rejected");
+        // An all-zero record is rejected like empty hist/cm records: the
+        // writer never emits one.
+        let zero = text.replace(backend_line, "backend\t1\t42\t0\t0\t0\t0");
+        assert_eq!(load(&zero).unwrap_err().what, "empty backend record");
     }
 
     #[test]
     fn v5_hist_records_roundtrip() {
         let mut p = sample_profile();
         let site = Ip::new(FuncId(9), 55);
-        p.hists
-            .entry(site)
-            .or_default()
-            .record_completion(100, 1, None);
-        p.hists
-            .entry(site)
-            .or_default()
-            .record_completion(9000, 7, Some(4000));
+        let h = &mut p.records.entry(site).hists;
+        h.record_completion(100, 1, None);
+        h.record_completion(9000, 7, Some(4000));
         let other = Ip::new(FuncId(1), 42);
-        p.hists
-            .entry(other)
-            .or_default()
-            .record_completion(64, 2, None);
+        p.records.entry(other).hists.record_completion(64, 2, None);
         let text = save(&p);
         assert!(text.contains("hist\t1\t42\ttx_cycles\t1\t64\t"));
         assert!(text.contains("hist\t9\t55\tretry_depth\t2\t8\t"));
@@ -1171,16 +1106,18 @@ mod tests {
         // fb_dwell never recorded for the other site → no record at all.
         assert!(!text.contains("hist\t1\t42\tfb_dwell"));
         let q = load(&text).expect("v5 roundtrip");
-        assert_eq!(q.hists, p.hists);
-        assert_eq!(q.hists[&site].tx_cycles.count, 2);
-        assert_eq!(q.hists[&site].tx_cycles.sum, 9100);
+        assert_eq!(q.records, p.records);
+        let h = q.records.get(site).unwrap().hists;
+        assert_eq!((h.tx_cycles.count, h.tx_cycles.sum), (2, 9100));
+        // A hist-only site grows no backend or cm record.
+        assert!(!text.contains("\nbackend\t") && !text.contains("\ncm\t"));
         // save∘load stays byte-stable with hist records present.
         assert_eq!(save(&q), text);
         // Func records cover hist-only sites.
         let mut bare = sample_profile();
         bare.cct = Default::default();
         bare.threads.clear();
-        bare.hists.insert(Ip::new(FuncId(77), 1), p.hists[&site]);
+        bare.records.entry(Ip::new(FuncId(77), 1)).hists = h;
         let names: FuncNames = [(77, "starved".to_string())].into_iter().collect();
         assert!(
             save_with_names(&bare, &|id| names.get(&id.0).cloned()).contains("func\t77\tstarved")
@@ -1188,15 +1125,15 @@ mod tests {
         // Hist records ride delta chunks through the shared body grammar.
         let chunk = load_delta(&save_delta_with_names(&p, 0, 3, false, &|_| None))
             .expect("delta with hists");
-        assert_eq!(chunk.profile.hists, p.hists);
+        assert_eq!(chunk.profile.records, p.records);
     }
 
     #[test]
     fn pre_v5_files_reject_hist_records() {
         let mut p = sample_profile();
-        p.hists
+        p.records
             .entry(Ip::new(FuncId(9), 55))
-            .or_default()
+            .hists
             .record_completion(100, 1, None);
         let text = save(&p);
         // A file claiming v4 may not carry v5 records.
@@ -1209,15 +1146,15 @@ mod tests {
             .map(|l| format!("{l}\n"))
             .collect();
         let q = load(&cleaned).expect("v4 without hist records loads");
-        assert!(q.hists.is_empty());
+        assert!(q.records.is_empty());
     }
 
     #[test]
     fn rejects_malformed_hist_records() {
         let mut p = sample_profile();
-        p.hists
+        p.records
             .entry(Ip::new(FuncId(9), 55))
-            .or_default()
+            .hists
             .record_completion(2, 1, None);
         let text = save(&p);
         let line = text
@@ -1238,28 +1175,18 @@ mod tests {
 
     #[test]
     fn v6_cm_records_roundtrip() {
-        use rtm_runtime::CmStats;
         let mut p = sample_profile();
         p.meta.fallback = Some("stm".to_string());
         p.meta.cm = Some("karma".to_string());
-        p.cm.insert(
-            Ip::new(FuncId(9), 55),
-            CmStats {
-                yields: 11,
-                stalls: 4,
-                escalations: 0,
-                priority_aborts: 2,
-            },
-        );
-        p.cm.insert(
-            Ip::new(FuncId(1), 42),
-            CmStats {
-                escalations: 3,
-                ..CmStats::default()
-            },
-        );
+        p.records.entry(Ip::new(FuncId(9), 55)).cm = CmStats {
+            yields: 11,
+            stalls: 4,
+            escalations: 0,
+            priority_aborts: 2,
+        };
+        p.records.entry(Ip::new(FuncId(1), 42)).cm.escalations = 3;
         // All-zero entries are skipped on save, like empty histograms.
-        p.cm.insert(Ip::new(FuncId(2), 1), CmStats::default());
+        p.records.entry(Ip::new(FuncId(2), 1));
         let text = save(&p);
         assert!(text.contains("fallback=stm\tcm=karma"));
         assert!(text.contains("cm\t1\t42\t0\t0\t3\t0\n"));
@@ -1267,7 +1194,7 @@ mod tests {
         assert!(!text.contains("cm\t2\t1\t"));
         let q = load(&text).expect("v6 roundtrip");
         assert_eq!(q.meta.cm.as_deref(), Some("karma"));
-        assert_eq!(q.cm[&Ip::new(FuncId(9), 55)].yields, 11);
+        assert_eq!(q.records.get(Ip::new(FuncId(9), 55)).unwrap().cm.yields, 11);
         assert_eq!(q.cm_totals().total(), 20);
         // save∘load stays byte-stable with cm records present.
         assert_eq!(save(&q), text);
@@ -1275,13 +1202,7 @@ mod tests {
         let mut bare = sample_profile();
         bare.cct = Default::default();
         bare.threads.clear();
-        bare.cm.insert(
-            Ip::new(FuncId(88), 1),
-            CmStats {
-                yields: 1,
-                ..CmStats::default()
-            },
-        );
+        bare.records.entry(Ip::new(FuncId(88), 1)).cm.yields = 1;
         let names: FuncNames = [(88, "writer".to_string())].into_iter().collect();
         assert!(
             save_with_names(&bare, &|id| names.get(&id.0).cloned()).contains("func\t88\twriter")
@@ -1289,7 +1210,11 @@ mod tests {
         // Cm records ride delta chunks through the shared body grammar.
         let chunk =
             load_delta(&save_delta_with_names(&p, 0, 3, false, &|_| None)).expect("delta with cm");
-        assert_eq!(chunk.profile.cm.len(), 2, "zero entry dropped");
+        assert_eq!(
+            chunk.profile.records.sorted().len(),
+            2,
+            "zero entry dropped"
+        );
         assert_eq!(chunk.profile.meta.cm.as_deref(), Some("karma"));
     }
 
@@ -1298,13 +1223,7 @@ mod tests {
         let mut p = sample_profile();
         p.meta.fallback = Some("stm".to_string());
         p.meta.cm = Some("escalate".to_string());
-        p.cm.insert(
-            Ip::new(FuncId(9), 55),
-            rtm_runtime::CmStats {
-                escalations: 7,
-                ..Default::default()
-            },
-        );
+        p.records.entry(Ip::new(FuncId(9), 55)).cm.escalations = 7;
         let text = save(&p);
         // A file claiming v5 may not carry v6 records or the cm= meta key.
         let downgraded = text.replacen("\tv6\t", "\tv5\t", 1);
@@ -1326,7 +1245,7 @@ mod tests {
             })
             .collect();
         let q = load(&cleaned).expect("v5 without cm records loads");
-        assert!(q.cm.is_empty());
+        assert!(q.records.is_empty());
         assert_eq!(q.meta.cm, None);
     }
 
@@ -1334,13 +1253,7 @@ mod tests {
     fn rejects_malformed_cm_records() {
         let mut p = sample_profile();
         p.meta.cm = Some("karma".to_string());
-        p.cm.insert(
-            Ip::new(FuncId(9), 55),
-            rtm_runtime::CmStats {
-                yields: 5,
-                ..Default::default()
-            },
-        );
+        p.records.entry(Ip::new(FuncId(9), 55)).cm.yields = 5;
         let text = save(&p);
         let line = "cm\t9\t55\t5\t0\t0\t0";
         assert!(load(&text.replace(line, "cm\t9\t55\t5\t0\t0")).is_err());
@@ -1359,6 +1272,12 @@ mod tests {
         let text = save(&sample_profile());
         assert!(load(&text.replacen("\tv6\t", "\tv99\t", 1)).is_err());
         assert!(load(&text.replacen("\tv6\t", "\tv0\t", 1)).is_err());
+        // v1–v3 were dropped: they fail closed, not as a partial load.
+        for old in 1..MIN_FORMAT_VERSION {
+            let err = load(&text.replacen("\tv6\t", &format!("\tv{old}\t"), 1)).unwrap_err();
+            assert_eq!(err.what, "version");
+        }
+        assert!(load(&text.replacen("\tv6\t", "\tv4\t", 1)).is_ok());
         assert!(load(&text.replacen("\tv6\t", "\tsomething\t", 1)).is_err());
     }
 

@@ -291,23 +291,12 @@ pub fn run_workload<S: Sync>(
                     worker.cpu.flush_sink();
                     let mut profile = handle.map(|h| h.take());
                     if let Some(p) = &mut profile {
-                        // Fold the runtime's per-site backend bookkeeping into
+                        // Fold the runtime's per-site bookkeeping (backend mix,
+                        // histograms, contention-manager interventions) into
                         // the thread profile so both the post-mortem merge and
-                        // the hub's residual publish carry the backend mix.
-                        for snap in worker.tm.sites.take_delta() {
-                            let mix = p.backend_mix(snap.site);
-                            mix.lock += snap.fb_lock;
-                            mix.stm += snap.fb_stm;
-                            mix.hle += snap.fb_hle;
-                            mix.switches += snap.switches;
-                        }
-                        // Same for the per-site latency/retry histograms.
-                        for (site, h) in worker.tm.hists.take_delta() {
-                            p.site_hists(site).merge(&h);
-                        }
-                        // And the contention-management interventions.
-                        for (site, s) in worker.tm.cm_stats.take_delta() {
-                            p.cm_stats(site).merge(&s);
+                        // the hub's residual publish carry it.
+                        for (site, record) in worker.tm.take_site_delta() {
+                            p.records.entry(site).merge(&record);
                         }
                     }
                     WorkerResult {

@@ -646,7 +646,7 @@ mod tests {
         // The per-site profile mix records where the hot site's fallback
         // completions were dispatched after the switch.
         let profile = out.profile.as_ref().expect("profiling enabled");
-        let hot_mix = profile.backends.get(&hot_ip).expect("hot site in mix");
+        let hot_mix = profile.records.get(hot_ip).expect("hot site in mix").mix;
         assert!(hot_mix.hle > 0, "post-switch fallbacks dispatch to hle");
         // The stamped meta mix is the exact truth mix.
         let mix = profile.meta.mix.expect("adaptive runs stamp a mix");
@@ -680,7 +680,11 @@ mod tests {
         );
         // Its histograms carry the signature: tail-heavy retry depth...
         let profile = out.profile.expect("profiling enabled");
-        let h = profile.hists.get(&big_ip).expect("writer site has hists");
+        let h = profile
+            .records
+            .get(big_ip)
+            .expect("writer site has hists")
+            .hists;
         assert_eq!(h.retry_depth.count, big_n);
         assert!(
             h.retry_depth.percentile(0.99).unwrap() >= 6,

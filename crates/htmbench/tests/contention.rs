@@ -34,9 +34,10 @@ fn writer_p99_bucket(out: &RunOutcome) -> usize {
     out.profile
         .as_ref()
         .expect("profiling enabled")
-        .hists
-        .get(&site)
+        .records
+        .get(site)
         .expect("writer site has hists")
+        .hists
         .retry_depth
         .percentile_bucket(0.99)
         .expect("writer recorded retries")
@@ -154,9 +155,10 @@ fn escalate_bounds_worst_case_retries_at_k() {
         .profile
         .as_ref()
         .unwrap()
-        .hists
-        .get(&writer_site(&out))
+        .records
+        .get(writer_site(&out))
         .unwrap()
+        .hists
         .retry_depth
         .percentile(0.99)
         .unwrap();

@@ -230,6 +230,11 @@ pub fn render(view: &SnapshotView, window: Option<&Metrics>, obs: &Snapshot) -> 
     );
     let _ = writeln!(out, "txsampler_threads {}", view.profile.threads.len());
 
+    // The runtime-fed per-site families: one sorted pass over the site
+    // records, each family skipping the sites where it is empty.
+    let records = view.profile.records.sorted();
+    let totals = view.profile.records.totals();
+
     family(
         &mut out,
         "txsampler_backend_switches_total",
@@ -239,7 +244,7 @@ pub fn render(view: &SnapshotView, window: Option<&Metrics>, obs: &Snapshot) -> 
     let _ = writeln!(
         out,
         "txsampler_backend_switches_total {}",
-        view.profile.backend_totals().switches
+        totals.mix.switches
     );
 
     family(
@@ -248,10 +253,8 @@ pub fn render(view: &SnapshotView, window: Option<&Metrics>, obs: &Snapshot) -> 
         "gauge",
         "Currently dominant fallback flavor per abort site (1 = this site's fallbacks run on this backend).",
     );
-    let mut sites: Vec<_> = view.profile.backends.iter().collect();
-    sites.sort_by_key(|(ip, _)| (ip.func.0, ip.line));
-    for (ip, mix) in sites {
-        if let Some(flavor) = mix.choice() {
+    for (ip, r) in &records {
+        if let Some(flavor) = r.mix.choice() {
             let _ = writeln!(
                 out,
                 "txsampler_site_backend{{site=\"{}:{}\",backend=\"{flavor}\"}} 1",
@@ -266,7 +269,7 @@ pub fn render(view: &SnapshotView, window: Option<&Metrics>, obs: &Snapshot) -> 
         "counter",
         "Contention-manager interventions by kind (zero when no CM ran).",
     );
-    let cm = view.profile.cm_totals();
+    let cm = totals.cm;
     for (kind, n) in [
         ("yield", cm.yields),
         ("stall", cm.stalls),
@@ -285,9 +288,8 @@ pub fn render(view: &SnapshotView, window: Option<&Metrics>, obs: &Snapshot) -> 
         "counter",
         "Contention-manager interventions per abort site and kind (nonzero entries only).",
     );
-    let mut cm_sites: Vec<_> = view.profile.cm.iter().collect();
-    cm_sites.sort_by_key(|(ip, _)| (ip.func.0, ip.line));
-    for (ip, s) in cm_sites {
+    for (ip, r) in &records {
+        let s = &r.cm;
         let site = format!("{}:{}", ip.func.0, ip.line);
         for (kind, n) in [
             ("yield", s.yields),
@@ -308,8 +310,6 @@ pub fn render(view: &SnapshotView, window: Option<&Metrics>, obs: &Snapshot) -> 
     // buckets render as cumulative `le` bounds `2^(i+1)-1`; the catch-all
     // top bucket has no finite upper bound, so it folds into `+Inf` (whose
     // count therefore always equals `_count`, as Prometheus requires).
-    let mut hist_sites: Vec<_> = view.profile.hists.iter().collect();
-    hist_sites.sort_by_key(|(ip, _)| (ip.func.0, ip.line));
     type Component = fn(&SiteHists) -> &Hist32;
     let families: [(&str, &str, Component); 2] = [
         (
@@ -325,8 +325,8 @@ pub fn render(view: &SnapshotView, window: Option<&Metrics>, obs: &Snapshot) -> 
     ];
     for (name, help, component) in families {
         family(&mut out, name, "histogram", help);
-        for (ip, hists) in &hist_sites {
-            let hist = component(hists);
+        for (ip, r) in &records {
+            let hist = component(&r.hists);
             if hist.count == 0 {
                 continue;
             }
@@ -456,11 +456,7 @@ mod tests {
     #[test]
     fn backend_metrics_render_choice_and_switches() {
         let mut view = sample_view();
-        let m = view
-            .profile
-            .backends
-            .entry(Ip::new(FuncId(1), 21))
-            .or_default();
+        let m = &mut view.profile.records.entry(Ip::new(FuncId(1), 21)).mix;
         m.stm = 5;
         m.lock = 1;
         m.switches = 2;
@@ -483,7 +479,7 @@ mod tests {
             h.record_completion(100, 1, None); // bucket 6 (le 127)
         }
         h.record_completion(5000, 7, Some(3000)); // bucket 12 (le 8191)
-        view.profile.hists.insert(site, h);
+        view.profile.records.entry(site).hists = h;
         let text = render(&view, None, &Registry::new().snapshot());
 
         // Walk the tx-cycles family for our site: le values must be
@@ -529,7 +525,7 @@ mod tests {
     #[test]
     fn cm_families_render_totals_and_per_site_breakdown() {
         let mut view = sample_view();
-        let s = view.profile.cm.entry(Ip::new(FuncId(1), 4)).or_default();
+        let s = &mut view.profile.records.entry(Ip::new(FuncId(1), 4)).cm;
         s.yields = 7;
         s.escalations = 2;
         let text = render(&view, None, &Registry::new().snapshot());

@@ -8,60 +8,43 @@
 //! via [`CmTable::take_delta`], exactly like the site histograms.
 //!
 //! Interventions only happen on the contended slow path (a failed commit or
-//! a non-empty karma board), so unlike [`crate::HistTable`] this table does
-//! not need a fixed-capacity open-addressed layout: a plain map is fine —
-//! an uncontended run never touches it at all.
-
-use std::collections::HashMap;
+//! a non-empty karma board) — exactly where the runtime must not allocate —
+//! so the table is the same fixed-capacity [`SiteSlots`] the other per-site
+//! tables sit on: a site that cannot be seated is counted, not booked.
 
 use txsim_htm::Ip;
 
-/// Contention-management interventions at one site. The counters mirror the
-/// [`txstm::cm`] hook contract: `yields` and `stalls` are waiting the policy
-/// injected, `escalations` are forced serial commits, `priority_aborts` are
-/// aborts attributed to losing karma arbitration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CmStats {
-    /// Begin-time deferrals to a higher-karma peer.
-    pub yields: u64,
-    /// Brief fixed stalls taken (by the top-karma transaction) instead of
-    /// exponential backoff.
-    pub stalls: u64,
-    /// Escalations to the exclusive gate (forced/irrevocable commits) the
-    /// policy decided — including the backoff policy's `max_attempts`
-    /// escape hatch.
-    pub escalations: u64,
-    /// Aborts a transaction took because a higher-karma peer had priority.
-    pub priority_aborts: u64,
+use crate::slots::SiteSlots;
+
+/// Per-site slots a [`CmTable`] holds (thread-private; interventions at
+/// sites beyond the capacity are counted in [`CmTable::overflowed`]).
+pub const CM_SITE_CAPACITY: usize = 64;
+
+crate::counter_fields! {
+    /// Contention-management interventions at one site. The counters mirror
+    /// the [`txstm::cm`] hook contract: `yields` and `stalls` are waiting the
+    /// policy injected, `escalations` are forced serial commits,
+    /// `priority_aborts` are aborts attributed to losing karma arbitration.
+    pub struct CmStats {
+        /// Begin-time deferrals to a higher-karma peer.
+        pub yields,
+        /// Brief fixed stalls taken (by the top-karma transaction) instead
+        /// of exponential backoff.
+        pub stalls,
+        /// Escalations to the exclusive gate (forced/irrevocable commits)
+        /// the policy decided — including the backoff policy's
+        /// `max_attempts` escape hatch.
+        pub escalations,
+        /// Aborts a transaction took because a higher-karma peer had
+        /// priority.
+        pub priority_aborts,
+    }
 }
 
 impl CmStats {
     /// Total interventions of any kind.
     pub fn total(&self) -> u64 {
         self.yields + self.stalls + self.escalations + self.priority_aborts
-    }
-
-    /// Whether nothing was booked.
-    pub fn is_zero(&self) -> bool {
-        self.total() == 0
-    }
-
-    /// Add `other` in (profile merge).
-    pub fn merge(&mut self, other: &CmStats) {
-        self.yields += other.yields;
-        self.stalls += other.stalls;
-        self.escalations += other.escalations;
-        self.priority_aborts += other.priority_aborts;
-    }
-
-    /// Saturating per-field difference (epoch-delta export).
-    pub fn minus(&self, older: &CmStats) -> CmStats {
-        CmStats {
-            yields: self.yields.saturating_sub(older.yields),
-            stalls: self.stalls.saturating_sub(older.stalls),
-            escalations: self.escalations.saturating_sub(older.escalations),
-            priority_aborts: self.priority_aborts.saturating_sub(older.priority_aborts),
-        }
     }
 
     /// Book one event.
@@ -98,36 +81,53 @@ impl From<txstm::cm::CmIntervention> for CmEvent {
 }
 
 /// Thread-private per-site CM counter table.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct CmTable {
-    sites: HashMap<Ip, CmStats>,
+    slots: SiteSlots<CmStats>,
 }
 
 impl CmTable {
-    /// An empty table.
+    /// An empty table with [`CM_SITE_CAPACITY`] slots.
     pub fn new() -> CmTable {
-        CmTable::default()
+        CmTable {
+            slots: SiteSlots::new(CM_SITE_CAPACITY),
+        }
     }
 
     /// Book `event` against `site`.
     pub fn note(&mut self, site: Ip, event: CmEvent) {
-        self.sites.entry(site).or_default().note(event);
+        if let Some(stats) = self.slots.seat(site, CmStats::default) {
+            stats.note(event);
+        }
     }
 
-    /// This site's counters, if any intervention was booked there.
+    /// This site's counters, if any intervention was booked there since
+    /// the last drain.
     pub fn get(&self, site: Ip) -> Option<&CmStats> {
-        self.sites.get(&site)
+        self.slots.get(site).filter(|s| !s.is_zero())
     }
 
-    /// Whether any intervention was booked at all.
+    /// Whether no intervention was booked since the last drain.
     pub fn is_empty(&self) -> bool {
-        self.sites.is_empty()
+        self.slots.iter().all(|(_, s)| s.is_zero())
+    }
+
+    /// Interventions at sites the full table could not seat.
+    pub fn overflowed(&self) -> u64 {
+        self.slots.overflowed()
     }
 
     /// Drain everything accumulated since the last call (the harness folds
     /// the delta into the run profile).
     pub fn take_delta(&mut self) -> Vec<(Ip, CmStats)> {
-        self.sites.drain().collect()
+        self.slots
+            .drain(|site, s| (!s.is_zero()).then(|| (site, std::mem::take(s))))
+    }
+}
+
+impl Default for CmTable {
+    fn default() -> Self {
+        CmTable::new()
     }
 }
 
@@ -165,5 +165,22 @@ mod tests {
         assert_eq!(merged.minus(&older).yields, 0);
         assert_eq!(merged.minus(&older).stalls, 2);
         assert!(CmStats::default().is_zero());
+    }
+
+    #[test]
+    fn overflow_is_counted_and_seated_sites_stay_intact() {
+        let mut t = CmTable::new();
+        for line in 0..CM_SITE_CAPACITY as u32 + 1 {
+            t.note(site(line), CmEvent::Yield);
+            t.note(site(line), CmEvent::Stall);
+        }
+        assert_eq!(t.overflowed(), 2, "both events at the unseated site");
+        assert!(t.get(site(CM_SITE_CAPACITY as u32)).is_none());
+        let delta = t.take_delta();
+        assert_eq!(delta.len(), CM_SITE_CAPACITY);
+        for line in 0..CM_SITE_CAPACITY as u32 {
+            let (_, s) = delta.iter().find(|(ip, _)| *ip == site(line)).unwrap();
+            assert_eq!((s.yields, s.stalls, s.total()), (1, 1, 2));
+        }
     }
 }

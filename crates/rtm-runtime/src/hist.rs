@@ -22,11 +22,13 @@ use txsim_pmu::Ip;
 
 use obs::Counter;
 
+use crate::slots::SiteSlots;
+
 /// Number of power-of-two buckets in a [`Hist32`].
 pub const HIST_BUCKETS: usize = 32;
 
-/// Per-site histogram slots a [`HistTable`] holds (thread-private; sites
-/// beyond the capacity are dropped rather than allocated for).
+/// Per-site histogram slots a [`HistTable`] holds (thread-private; records
+/// at sites beyond the capacity are counted in [`HistTable::overflowed`]).
 pub const HIST_SITE_CAPACITY: usize = 64;
 
 /// A fixed-size log-bucketed histogram: 32 power-of-two buckets plus the
@@ -180,12 +182,6 @@ impl SiteHists {
     }
 }
 
-struct HistSlot {
-    site: Ip,
-    used: bool,
-    hists: SiteHists,
-}
-
 /// Thread-private per-site histogram table: fixed capacity, open-addressed,
 /// no allocation after construction, no shared-cacheline writes on the
 /// record path. The detached variant has zero capacity, so every hook in
@@ -193,84 +189,53 @@ struct HistSlot {
 /// collection is off — the same zero-cost-when-unused contract the
 /// adaptive [`crate::SiteTable`] established.
 pub struct HistTable {
-    slots: Vec<HistSlot>,
+    slots: SiteSlots<SiteHists>,
 }
 
 impl HistTable {
     /// A live table with [`HIST_SITE_CAPACITY`] slots.
     pub fn new() -> HistTable {
         HistTable {
-            slots: (0..HIST_SITE_CAPACITY)
-                .map(|_| HistSlot {
-                    site: Ip::UNKNOWN,
-                    used: false,
-                    hists: SiteHists::default(),
-                })
-                .collect(),
+            slots: SiteSlots::new(HIST_SITE_CAPACITY),
         }
     }
 
     /// The zero-capacity table handed out when histogram collection is
     /// detached: `record` returns after one branch.
     pub fn detached() -> HistTable {
-        HistTable { slots: Vec::new() }
+        HistTable {
+            slots: SiteSlots::detached(),
+        }
     }
 
     /// Whether this table records anything at all.
     pub fn is_enabled(&self) -> bool {
-        !self.slots.is_empty()
+        !self.slots.is_detached()
     }
 
-    fn slot_for(&mut self, site: Ip) -> Option<usize> {
-        let cap = self.slots.len();
-        let mut idx = ((site.func.0 as u64)
-            .wrapping_mul(0x9e3779b97f4a7c15)
-            .wrapping_add(site.line as u64) as usize)
-            % cap;
-        for _ in 0..cap {
-            let slot = &mut self.slots[idx];
-            if !slot.used {
-                slot.used = true;
-                slot.site = site;
-                return Some(idx);
-            }
-            if slot.site == site {
-                return Some(idx);
-            }
-            idx = (idx + 1) % cap;
-        }
-        // Table full: drop the record rather than allocate. A workload
-        // with more than HIST_SITE_CAPACITY distinct transaction sites
-        // loses distribution data for the overflow sites only.
-        None
+    /// Records dropped because the full table could not seat their site.
+    /// A workload with more than [`HIST_SITE_CAPACITY`] distinct
+    /// transaction sites loses distribution data for the overflow sites
+    /// only.
+    pub fn overflowed(&self) -> u64 {
+        self.slots.overflowed()
     }
 
     /// Record one completed critical section at `site`. No-op (one branch)
-    /// when detached; silently drops when the site table is full.
+    /// when detached; dropped and counted when the table is full.
     #[inline]
     pub fn record(&mut self, site: Ip, duration: u64, attempts: u32, fb_dwell: Option<u64>) {
-        if self.slots.is_empty() {
-            return;
-        }
-        if let Some(idx) = self.slot_for(site) {
-            self.slots[idx]
-                .hists
-                .record_completion(duration, attempts, fb_dwell);
+        if let Some(hists) = self.slots.seat(site, SiteHists::default) {
+            hists.record_completion(duration, attempts, fb_dwell);
             obs::count(Counter::RtmHistStores);
         }
     }
 
     /// Drain the recorded histograms: returns every non-empty site's
-    /// [`SiteHists`] and zeroes the table's contents (slot registrations
-    /// are kept so re-recording needs no re-probing).
+    /// [`SiteHists`] and zeroes the table's contents.
     pub fn take_delta(&mut self) -> Vec<(Ip, SiteHists)> {
-        let mut out = Vec::new();
-        for slot in &mut self.slots {
-            if slot.used && !slot.hists.is_zero() {
-                out.push((slot.site, std::mem::take(&mut slot.hists)));
-            }
-        }
-        out
+        self.slots
+            .drain(|site, h| (!h.is_zero()).then(|| (site, std::mem::take(h))))
     }
 }
 
@@ -395,12 +360,20 @@ mod tests {
     }
 
     #[test]
-    fn table_overflow_drops_instead_of_allocating() {
+    fn table_overflow_is_counted_and_seated_sites_stay_intact() {
         let mut t = HistTable::new();
-        for i in 0..(HIST_SITE_CAPACITY as u32 + 8) {
-            t.record(Ip::new(FuncId(i), 1), 10, 1, None);
+        for i in 0..(HIST_SITE_CAPACITY as u32 + 1) {
+            t.record(Ip::new(FuncId(i), 1), 10 + u64::from(i), 1, None);
         }
+        assert_eq!(t.overflowed(), 1);
         let delta = t.take_delta();
         assert_eq!(delta.len(), HIST_SITE_CAPACITY, "capacity bounds the table");
+        for i in 0..HIST_SITE_CAPACITY as u32 {
+            let (_, h) = delta
+                .iter()
+                .find(|(site, _)| *site == Ip::new(FuncId(i), 1))
+                .expect("the first capacity sites are seated");
+            assert_eq!((h.tx_cycles.count, h.tx_cycles.sum), (1, 10 + u64::from(i)));
+        }
     }
 }

@@ -36,7 +36,9 @@ pub mod backend;
 pub mod cm_stats;
 pub mod hist;
 pub mod hle;
+pub mod site_record;
 pub mod sites;
+pub mod slots;
 pub mod state;
 pub mod truth;
 
@@ -52,10 +54,12 @@ pub use backend::{
     AdaptiveBackend, Backend, FallbackBackend, FallbackKind, GlobalLock, SingleGlobalLockElided,
     Tl2Stm, GATE_EXCLUSIVE,
 };
-pub use cm_stats::{CmEvent, CmStats, CmTable};
+pub use cm_stats::{CmEvent, CmStats, CmTable, CM_SITE_CAPACITY};
 pub use hist::{Hist32, HistTable, SiteHists, HIST_BUCKETS, HIST_SITE_CAPACITY};
 pub use hle::HleLock;
+pub use site_record::{BackendMix, SiteMap, SiteRecord};
 pub use sites::{AdaptivePolicy, SitePlan, SiteSnapshot, SiteTable, SITE_CAPACITY};
+pub use slots::SiteSlots;
 pub use state::{
     StateFlags, ThreadState, IN_CS, IN_FALLBACK, IN_HTM, IN_LOCK_WAITING, IN_OVERHEAD, IN_STM,
 };
@@ -227,6 +231,27 @@ impl TmThread {
     /// nothing (the zero-cost-when-detached contract).
     pub fn enable_hists(&mut self) {
         self.hists = HistTable::new();
+    }
+
+    /// Drain what the three per-site tables accumulated since the last
+    /// call, one [`SiteRecord`] per site in `(func, line)` order. Profiling
+    /// harnesses fold this into the thread's profile.
+    pub fn take_site_delta(&mut self) -> Vec<(Ip, SiteRecord)> {
+        let mut delta = SiteMap::default();
+        for snap in self.sites.take_delta() {
+            delta.entry(snap.site).mix = snap.mix();
+        }
+        for (site, hists) in self.hists.take_delta() {
+            delta.entry(site).hists = hists;
+        }
+        for (site, cm) in self.cm_stats.take_delta() {
+            delta.entry(site).cm = cm;
+        }
+        delta
+            .sorted()
+            .into_iter()
+            .map(|(site, record)| (site, *record))
+            .collect()
     }
 
     /// Execute `body` as a critical section beginning at source `line`

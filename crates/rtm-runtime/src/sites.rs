@@ -13,8 +13,8 @@
 //! * **Thread-private.** Only the owning thread ever touches its table, so
 //!   updating a site on the abort path writes no shared cache line — the
 //!   profiler's zero-perturbation story survives the control loop.
-//! * **No allocation after construction.** The table is a fixed array of
-//!   slots filled by open addressing; a site that cannot find a free slot
+//! * **No allocation after construction.** The table is a fixed-capacity
+//!   [`SiteSlots`]; a site that cannot find a free slot is counted and
 //!   simply runs the unadapted default policy. The abort path therefore
 //!   never allocates (unlike a growable map).
 //! * **Pay-for-use.** A [`TmLib`](crate::TmLib) configured with a static
@@ -30,6 +30,8 @@ use txsim_htm::Ip;
 use txsim_pmu::AbortClass;
 
 use crate::backend::FallbackKind;
+use crate::site_record::BackendMix;
+use crate::slots::SiteSlots;
 
 /// Fixed-point one for the EWMAs (Q10).
 const ONE: u32 = 1 << 10;
@@ -177,22 +179,39 @@ pub struct SiteSnapshot {
     pub fb_hle: u64,
 }
 
+impl SiteSnapshot {
+    fn new(site: Ip, backend: FallbackKind, mix: &BackendMix) -> SiteSnapshot {
+        SiteSnapshot {
+            site,
+            backend,
+            switches: mix.switches,
+            fb_lock: mix.lock,
+            fb_stm: mix.stm,
+            fb_hle: mix.hle,
+        }
+    }
+
+    /// The snapshot's counts as the profile's per-site mix.
+    pub fn mix(&self) -> BackendMix {
+        BackendMix {
+            lock: self.fb_lock,
+            stm: self.fb_stm,
+            hle: self.fb_hle,
+            switches: self.switches,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct SiteSlot {
-    site: Ip,
     backend: FallbackKind,
     execs: u64,
-    switches: u64,
     cooldown: u64,
-    // Fallback completions per flavor since the last `take_delta`.
-    d_lock: u64,
-    d_stm: u64,
-    d_hle: u64,
-    d_switches: u64,
-    // Lifetime totals (snapshots / diagnostics).
-    t_lock: u64,
-    t_stm: u64,
-    t_hle: u64,
+    /// Fallback completions per flavor and switches since the last
+    /// `take_delta`.
+    delta: BackendMix,
+    /// The same, over the table's lifetime (snapshots / diagnostics).
+    total: BackendMix,
     // Q10 EWMAs, one observation per event (abort) or completion (decay).
     ewma_conflict: u32,
     ewma_capacity: u32,
@@ -202,20 +221,13 @@ struct SiteSlot {
 }
 
 impl SiteSlot {
-    fn new(site: Ip) -> SiteSlot {
+    fn new() -> SiteSlot {
         SiteSlot {
-            site,
             backend: FallbackKind::Lock,
             execs: 0,
-            switches: 0,
             cooldown: 0,
-            d_lock: 0,
-            d_stm: 0,
-            d_hle: 0,
-            d_switches: 0,
-            t_lock: 0,
-            t_stm: 0,
-            t_hle: 0,
+            delta: BackendMix::default(),
+            total: BackendMix::default(),
             ewma_conflict: 0,
             ewma_capacity: 0,
             ewma_sync: 0,
@@ -255,21 +267,18 @@ impl SiteSlot {
 /// zero-allocation / zero-sharing design constraints.
 #[derive(Debug)]
 pub struct SiteTable {
-    slots: Box<[Option<SiteSlot>]>,
+    slots: SiteSlots<SiteSlot>,
     policy: AdaptivePolicy,
     base_retries: u32,
-    /// Sites that could not be seated (table full) run unadapted.
-    overflow: u64,
 }
 
 impl SiteTable {
     /// A table for a thread of an adaptive [`crate::TmLib`].
     pub fn new(policy: AdaptivePolicy, base_retries: u32) -> SiteTable {
         SiteTable {
-            slots: vec![None; SITE_CAPACITY].into_boxed_slice(),
+            slots: SiteSlots::new(SITE_CAPACITY),
             policy,
             base_retries,
-            overflow: 0,
         }
     }
 
@@ -277,57 +286,27 @@ impl SiteTable {
     /// every hook returns after one branch and nothing is ever allocated.
     pub fn detached() -> SiteTable {
         SiteTable {
-            slots: Box::new([]),
+            slots: SiteSlots::detached(),
             policy: AdaptivePolicy::DEFAULT,
             base_retries: 0,
-            overflow: 0,
         }
     }
 
     /// Whether this table adapts at all.
     #[inline]
     pub fn is_adaptive(&self) -> bool {
-        !self.slots.is_empty()
+        !self.slots.is_detached()
     }
 
     /// Slot capacity (fixed for the table's lifetime — the no-allocation
     /// guarantee tests pin).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.slots.capacity()
     }
 
     /// Sites that could not be seated and ran unadapted.
     pub fn overflowed(&self) -> u64 {
-        self.overflow
-    }
-
-    fn slot_index(&self, site: Ip) -> Option<usize> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let cap = self.slots.len();
-        let hash = (site.func.0 as usize).wrapping_mul(0x9e37_79b9)
-            ^ (site.line as usize).wrapping_mul(31);
-        for probe in 0..cap {
-            let i = (hash + probe) % cap;
-            match &self.slots[i] {
-                Some(slot) if slot.site == site => return Some(i),
-                Some(_) => continue,
-                None => return Some(i),
-            }
-        }
-        None
-    }
-
-    fn slot_mut(&mut self, site: Ip, insert: bool) -> Option<&mut SiteSlot> {
-        let i = self.slot_index(site)?;
-        if self.slots[i].is_none() {
-            if !insert {
-                return None;
-            }
-            self.slots[i] = Some(SiteSlot::new(site));
-        }
-        self.slots[i].as_mut()
+        self.slots.overflowed()
     }
 
     /// Section-start hook: the execution plan for `site`. Ticks the site's
@@ -335,7 +314,7 @@ impl SiteTable {
     pub fn plan(&mut self, site: Ip) -> SitePlan {
         let base = self.base_retries;
         let policy = self.policy;
-        let Some(slot) = self.slot_mut(site, false) else {
+        let Some(slot) = self.slots.get_mut(site) else {
             return SitePlan {
                 max_retries: base,
                 attempt_htm: true,
@@ -361,11 +340,7 @@ impl SiteTable {
     /// Seats the site on first misbehavior; thereafter pure in-place
     /// arithmetic (no allocation, no shared write).
     pub fn note_abort(&mut self, site: Ip, class: AbortClass) {
-        if self.slots.is_empty() {
-            return;
-        }
-        let Some(slot) = self.slot_mut(site, true) else {
-            self.overflow += 1;
+        let Some(slot) = self.slots.seat(site, SiteSlot::new) else {
             return;
         };
         match class {
@@ -382,10 +357,7 @@ impl SiteTable {
     /// Commit hook (HTM path succeeded): decay every EWMA. Only sites that
     /// previously misbehaved are tracked; a clean site stays slot-free.
     pub fn note_commit(&mut self, site: Ip) {
-        if self.slots.is_empty() {
-            return;
-        }
-        if let Some(slot) = self.slot_mut(site, false) {
+        if let Some(slot) = self.slots.get_mut(site) {
             ewma_down(&mut slot.ewma_conflict);
             ewma_down(&mut slot.ewma_capacity);
             ewma_down(&mut slot.ewma_sync);
@@ -399,11 +371,7 @@ impl SiteTable {
     /// the site.
     pub fn choose(&mut self, site: Ip) -> (FallbackKind, bool) {
         let policy = self.policy;
-        if self.slots.is_empty() {
-            return (FallbackKind::Lock, false);
-        }
-        let Some(slot) = self.slot_mut(site, true) else {
-            self.overflow += 1;
+        let Some(slot) = self.slots.seat(site, SiteSlot::new) else {
             return (FallbackKind::Lock, false);
         };
         let mut switched = false;
@@ -415,8 +383,8 @@ impl SiteTable {
             if let Some(want) = policy.classify(conflict, capacity, sync, validation) {
                 if want != slot.backend {
                     slot.backend = want;
-                    slot.switches += 1;
-                    slot.d_switches += 1;
+                    slot.total.switches += 1;
+                    slot.delta.switches += 1;
                     slot.cooldown = policy.cooldown;
                     switched = true;
                 }
@@ -428,30 +396,20 @@ impl SiteTable {
     /// Fallback-completion hook: count the flavor that ran and raise the
     /// fallback-rate EWMA.
     pub fn note_fallback(&mut self, site: Ip, flavor: FallbackKind) {
-        if self.slots.is_empty() {
-            return;
-        }
-        let Some(slot) = self.slot_mut(site, true) else {
-            self.overflow += 1;
+        let Some(slot) = self.slots.seat(site, SiteSlot::new) else {
             return;
         };
+        let mut done = BackendMix::default();
         match flavor {
-            FallbackKind::Lock => {
-                slot.d_lock += 1;
-                slot.t_lock += 1;
-            }
-            FallbackKind::Stm => {
-                slot.d_stm += 1;
-                slot.t_stm += 1;
-            }
-            FallbackKind::Hle => {
-                slot.d_hle += 1;
-                slot.t_hle += 1;
-            }
+            FallbackKind::Lock => done.lock = 1,
+            FallbackKind::Stm => done.stm = 1,
+            FallbackKind::Hle => done.hle = 1,
             FallbackKind::Adaptive => {
                 unreachable!("adaptive dispatch resolves to a concrete flavor")
             }
         }
+        slot.delta.merge(&done);
+        slot.total.merge(&done);
         ewma_up(&mut slot.ewma_fallback);
     }
 
@@ -460,15 +418,7 @@ impl SiteTable {
         let mut out: Vec<SiteSnapshot> = self
             .slots
             .iter()
-            .flatten()
-            .map(|s| SiteSnapshot {
-                site: s.site,
-                backend: s.backend,
-                switches: s.switches,
-                fb_lock: s.t_lock,
-                fb_stm: s.t_stm,
-                fb_hle: s.t_hle,
-            })
+            .map(|(site, s)| SiteSnapshot::new(site, s.backend, &s.total))
             .collect();
         out.sort_by_key(|s| (s.site.func.0, s.site.line));
         out
@@ -478,24 +428,10 @@ impl SiteTable {
     /// call (EWMAs, choices and lifetime totals persist). Used by the
     /// harness to publish per-round deltas without double counting.
     pub fn take_delta(&mut self) -> Vec<SiteSnapshot> {
-        let mut out = Vec::new();
-        for slot in self.slots.iter_mut().flatten() {
-            if slot.d_lock == 0 && slot.d_stm == 0 && slot.d_hle == 0 && slot.d_switches == 0 {
-                continue;
-            }
-            out.push(SiteSnapshot {
-                site: slot.site,
-                backend: slot.backend,
-                switches: slot.d_switches,
-                fb_lock: slot.d_lock,
-                fb_stm: slot.d_stm,
-                fb_hle: slot.d_hle,
-            });
-            slot.d_lock = 0;
-            slot.d_stm = 0;
-            slot.d_hle = 0;
-            slot.d_switches = 0;
-        }
+        let mut out = self.slots.drain(|site, slot| {
+            (!slot.delta.is_zero())
+                .then(|| SiteSnapshot::new(site, slot.backend, &std::mem::take(&mut slot.delta)))
+        });
         out.sort_by_key(|s| (s.site.func.0, s.site.line));
         out
     }
@@ -638,15 +574,22 @@ mod tests {
     }
 
     #[test]
-    fn table_overflow_degrades_gracefully() {
+    fn table_overflow_is_counted_and_degrades_gracefully() {
         let mut t = SiteTable::new(AdaptivePolicy::DEFAULT, 5);
-        for n in 0..(SITE_CAPACITY as u32 + 10) {
+        for n in 0..(SITE_CAPACITY as u32 + 1) {
             t.note_abort(site(n), AbortClass::Conflict);
+            t.note_fallback(site(n), FallbackKind::Lock);
         }
-        assert!(t.overflowed() > 0);
+        assert_eq!(t.overflowed(), 2, "both hooks at the unseated site");
         assert_eq!(t.capacity(), SITE_CAPACITY);
-        // Unseated sites still execute with the default plan.
-        let plan = t.plan(site(SITE_CAPACITY as u32 + 5));
+        // The first `capacity` sites are seated and intact.
+        let seated = t.snapshot();
+        assert_eq!(seated.len(), SITE_CAPACITY);
+        for (n, snap) in seated.iter().enumerate() {
+            assert_eq!((snap.site, snap.fb_lock), (site(n as u32), 1));
+        }
+        // The unseated site still executes with the default plan.
+        let plan = t.plan(site(SITE_CAPACITY as u32));
         assert_eq!(plan.max_retries, 5);
         assert!(plan.attempt_htm);
     }

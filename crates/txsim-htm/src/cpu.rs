@@ -296,18 +296,6 @@ impl SimCpu {
             if self.tx.is_some() {
                 self.stats.parks_in_tx += 1;
             }
-            if std::env::var_os("TXSIM_TRACE").is_some() {
-                eprintln!(
-                    "park tid={} clock={} in_tx={} claims={}",
-                    self.tid,
-                    self.clock,
-                    self.tx.is_some(),
-                    self.tx
-                        .as_ref()
-                        .map(|t| t.read_lines.len() + t.write_lines.len())
-                        .unwrap_or(0)
-                );
-            }
             self.allowed_until = self.domain.scheduler.sync(self.tid, self.clock);
             if self.tx.is_some() && self.domain.directory.doomed(self.tid) != 0 {
                 // Doomed while parked: abort before doing anything else.

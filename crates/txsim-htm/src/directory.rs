@@ -22,8 +22,8 @@ use txsim_mem::LineId;
 /// Maximum simulated threads per domain (reader sets are a `u64` bitmask).
 pub const MAX_THREADS: usize = 64;
 
-/// Default shard count; override with [`Directory::with_shards`] (the
-/// `txbench ablate` harness measures 1 shard vs. the default).
+/// Default shard count; override with [`Directory::with_shards`] (to
+/// measure 1 shard vs. the default).
 const DEFAULT_SHARDS: usize = 128;
 
 /// Doom-flag bit: the transaction lost a conflict and must abort.

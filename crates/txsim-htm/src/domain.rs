@@ -33,7 +33,7 @@ pub struct DomainConfig {
     pub funcs: Option<FuncRegistry>,
     /// Lock shards in the conflict directory (clamped to at least 1).
     /// Lowering it concentrates conflict checks on fewer mutexes — the
-    /// `txbench ablate` knob for measuring what sharding buys.
+    /// knob for measuring what sharding buys.
     pub directory_shards: usize,
 }
 

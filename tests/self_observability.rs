@@ -150,7 +150,7 @@ fn instrumentation_is_exactly_free_when_disabled() {
         profiled
             .profile
             .as_ref()
-            .is_some_and(|p| !p.hists.is_empty()),
+            .is_some_and(|p| !p.hist_sites().is_empty()),
         "sampling-off profiled run must still collect histograms"
     );
     assert_eq!(native.checksum, profiled.checksum);
