@@ -6,25 +6,36 @@ cd "$(dirname "$0")"
 
 export CARGO_NET_OFFLINE=true
 
-echo "== cargo fmt --check"
+# `stage NAME` closes the previous stage with its elapsed seconds and opens
+# the next, so a suite-time regression shows in the log.
+stage_name=""
+stage_started=0
+stage() {
+  [ -z "$stage_name" ] || echo "-- $((SECONDS - stage_started)) s: $stage_name"
+  stage_name="$1"
+  stage_started=$SECONDS
+  echo "== $stage_name"
+}
+
+stage "cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "== cargo clippy (all targets, warnings are errors)"
+stage "cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo test"
+stage "cargo test"
 cargo test --workspace -q
 
-echo "== serve-mode smoke test (ephemeral port, /healthz + /metrics scrape)"
+stage "serve-mode smoke test (ephemeral port, /healthz + /metrics scrape)"
 cargo test -q -p txbench --test serve_smoke
 
-echo "== fleet-aggregation smoke test (two serve instances, one aggregator)"
+stage "fleet-aggregation smoke test (two serve instances, one aggregator)"
 cargo test -q -p txbench --test agg_smoke
 
-echo "== STM fallback smoke run (repro --fallback stm on a contended workload)"
+stage "STM fallback smoke run (repro --fallback stm on a contended workload)"
 cargo run --release -q -p txbench --bin repro -- --fallback stm --trials 1 profile micro/true_sharing
 
-echo "== adaptive-fallback regression gate (repro diff --check vs pinned baseline)"
+stage "adaptive-fallback regression gate (repro diff --check vs pinned baseline)"
 # Profile the mixed-phase workload under the adaptive backend and diff it
 # against the pinned results/baseline_mixed_adaptive.txsp (store v5, so
 # the baseline carries per-site latency/retry histograms). The gate fails
@@ -44,7 +55,7 @@ cargo run --release -q -p txbench --bin repro -- diff \
   results/baseline_mixed_adaptive.txsp \
   "$fresh_dir/profile-micro_mixed_phase.txsp" --check > /dev/null
 
-echo "== pinned STM-profile regression gates (repro diff --check vs baselines)"
+stage "pinned STM-profile regression gates (repro diff --check vs baselines)"
 # Three more pinned baselines, all profiled under the STM fallback
 # (backoff contention manager, the default): the starvation workload, the
 # irrevocable workload and the true-sharing hammer. Same gate semantics
@@ -65,14 +76,14 @@ for w in starved_writer irrevocable true_sharing; do
     "$fresh_dir/profile-micro_$w.txsp" --check > /dev/null
 done
 
-echo "== contention-manager smoke (starved_writer under every policy)"
+stage "contention-manager smoke (starved_writer under every policy)"
 for cm in backoff karma escalate; do
   cargo run --release -q -p txbench --bin repro -- \
     --fallback stm --cm "$cm" --trials 1 --scale 5 \
     profile micro/starved_writer > /dev/null
 done
 
-echo "== karma starvation-rescue gate (repro diff backoff vs karma)"
+stage "karma starvation-rescue gate (repro diff backoff vs karma)"
 # The subsystem's headline: under the STM fallback, switching the
 # contention manager from backoff to karma must resolve the decision
 # tree's starvation diagnosis on micro/starved_writer (the same shape the
@@ -93,7 +104,7 @@ cargo run --release -q -p txbench --bin repro -- diff \
   exit 1
 }
 
-echo "== collector self-cost gate (repro --self-profile vs the Fig. 5 ~4% budget)"
+stage "collector self-cost gate (repro --self-profile vs the Fig. 5 ~4% budget)"
 # Bills the run's SamplesTaken at a per-sample cost calibrated inline and
 # exits 1 when the collector's share of instrumented wall meets or
 # exceeds the budget. The paper's Fig. 5 puts total profiling overhead
@@ -102,11 +113,11 @@ cargo run --release -q -p txbench --bin repro -- \
   --threads 4 --scale 3 --self-profile fig7 --self-profile-budget 4 \
   --out "$fresh_dir" > /dev/null
 
-echo "== benchmark harness (its own workspace: unit tests + smoke run of all five workloads)"
+stage "benchmark harness (its own workspace: unit tests + smoke run of all five workloads)"
 # benchmark/ builds against ../crates/* through path dependencies but is
 # not a member of this workspace, so nothing above notices when a
 # signature it calls changes.
 cargo test --manifest-path benchmark/Cargo.toml -q
 benchmark/smoke.sh > /dev/null
 
-echo "== ci.sh: all green"
+stage "ci.sh: all green in $SECONDS s"

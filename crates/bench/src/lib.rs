@@ -2,6 +2,8 @@
 //! experiment runners that regenerate every table and figure of the
 //! paper's evaluation, printing paper-style rows.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod serve;
 

@@ -56,6 +56,7 @@
 //! println!("{}", txsampler::report::render_diagnosis(&diagnosis, &view));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analyze;

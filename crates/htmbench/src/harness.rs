@@ -218,6 +218,12 @@ fn sum_stats(a: CpuStats, b: &CpuStats) -> CpuStats {
 /// Run a workload: `setup` builds the shared state (allocating from the
 /// domain heap), `work` runs on every worker thread concurrently, `verify`
 /// computes a checksum after quiescence.
+///
+/// The domain's memory is untouched zero pages until something stores to
+/// it, so `HtmDomain::new` below is cheap at any `memory_bytes`: the host's
+/// first-touch page faults land in `setup` (which initializes the shared
+/// state) and in the workers, and dropping the domain on return unmaps only
+/// the pages those two touched.
 pub fn run_workload<S: Sync>(
     name: &str,
     cfg: &RunConfig,

@@ -24,6 +24,7 @@
 //! assert!(profile.samples > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod apps;

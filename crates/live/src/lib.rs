@@ -33,6 +33,7 @@
 //! Everything is std-only — `std::net::TcpListener`, no external HTTP or
 //! serialization dependencies — to keep the workspace offline-buildable.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agg;

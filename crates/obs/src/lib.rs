@@ -26,6 +26,7 @@
 //! [`count`] performs a single relaxed atomic load and [`span`] returns an
 //! inert guard — no counter is ever incremented and no event is recorded.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chrome;

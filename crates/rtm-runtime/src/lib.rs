@@ -30,6 +30,7 @@
 //! assert_eq!(tm.truth.totals().htm_commits + tm.truth.totals().fallbacks, 10);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;

@@ -22,9 +22,8 @@ use txsim_mem::LineId;
 /// Maximum simulated threads per domain (reader sets are a `u64` bitmask).
 pub const MAX_THREADS: usize = 64;
 
-/// Default shard count; override with [`Directory::with_shards`] (to
-/// measure 1 shard vs. the default).
-const DEFAULT_SHARDS: usize = 128;
+/// Lock shards in the directory.
+const SHARDS: usize = 128;
 
 /// Doom-flag bit: the transaction lost a conflict and must abort.
 pub const DOOM_CONFLICT: u32 = 1;
@@ -99,17 +98,10 @@ fn bit(tid: usize) -> u64 {
 }
 
 impl Directory {
-    /// Create an empty directory with the default shard count.
+    /// Create an empty directory.
     pub fn new() -> Self {
-        Directory::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// Create an empty directory with `shards` lock shards (clamped to at
-    /// least 1). Fewer shards mean more lock contention between concurrent
-    /// conflict checks — the ablation knob.
-    pub fn with_shards(shards: usize) -> Self {
         Directory {
-            shards: (0..shards.max(1))
+            shards: (0..SHARDS)
                 .map(|_| Shard {
                     lines: Mutex::new(HashMap::new()),
                     len: AtomicUsize::new(0),

@@ -31,10 +31,6 @@ pub struct DomainConfig {
     /// (e.g. `repro serve`) keep function ids stable across many domains,
     /// so profiles from successive rounds merge coherently.
     pub funcs: Option<FuncRegistry>,
-    /// Lock shards in the conflict directory (clamped to at least 1).
-    /// Lowering it concentrates conflict checks on fewer mutexes — the
-    /// knob for measuring what sharding buys.
-    pub directory_shards: usize,
 }
 
 impl Default for DomainConfig {
@@ -46,7 +42,6 @@ impl Default for DomainConfig {
             cooperative: false,
             quantum: 150,
             funcs: None,
-            directory_shards: 128,
         }
     }
 }
@@ -79,12 +74,6 @@ impl DomainConfig {
     /// Builder: share an existing function registry with this domain.
     pub fn with_funcs(mut self, funcs: FuncRegistry) -> Self {
         self.funcs = Some(funcs);
-        self
-    }
-
-    /// Builder: set the conflict-directory shard count.
-    pub fn with_directory_shards(mut self, shards: usize) -> Self {
-        self.directory_shards = shards;
         self
     }
 }
@@ -121,7 +110,7 @@ impl HtmDomain {
             quantum: config.quantum,
             heap: TxHeap::new(0, config.memory_bytes),
             funcs: config.funcs.unwrap_or_default(),
-            directory: Directory::with_shards(config.directory_shards),
+            directory: Directory::new(),
             scheduler: Scheduler::new(config.cooperative, config.quantum),
         })
     }

@@ -39,6 +39,7 @@
 //! runtime layered on top never opens one inside another, so
 //! [`SimCpu::xbegin`] simply panics on nesting to catch harness bugs.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cost;

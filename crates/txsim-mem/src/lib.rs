@@ -12,6 +12,10 @@
 //! the memory layer reusable by non-transactional workload phases.
 
 #![warn(missing_docs)]
+// The workspace's only `unsafe` lives in `memory`; every other crate
+// forbids it outright.
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod geometry;
 pub mod heap;

@@ -20,6 +20,7 @@
 //! profilers resolve sampled instruction pointers against it the way a real
 //! profiler resolves IPs against a binary's symbols.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod event;

@@ -51,6 +51,7 @@
 //! exclusive gate and re-run the body serially — the decision tree's
 //! "irrevocability ⇒ serialize" branch.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cm;

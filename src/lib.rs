@@ -4,6 +4,8 @@
 //! single crate. Library users should depend on the individual crates
 //! (`txsampler`, `rtm-runtime`, `txsim-htm`, …) directly.
 
+#![forbid(unsafe_code)]
+
 pub use htmbench;
 pub use rtm_runtime;
 pub use txbench;
