@@ -26,6 +26,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 stage "cargo test"
 cargo test --workspace -q
 
+stage "scheduler tests on one visible CPU (park-only hand-off)"
+# With one CPU in the affinity mask the scheduler's cached host size is 1,
+# so no live thread count fits and every block goes straight to the OS
+# park — the path a 2-vCPU host otherwise takes only when oversubscribed.
+if command -v taskset > /dev/null; then
+  taskset -c 0 cargo test -q -p txsim-htm sched
+else
+  echo "taskset not found: park-only scheduler stage skipped"
+fi
+
 stage "serve-mode smoke test (ephemeral port, /healthz + /metrics scrape)"
 cargo test -q -p txbench --test serve_smoke
 

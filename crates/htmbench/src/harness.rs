@@ -379,7 +379,7 @@ pub fn run_workload<S: Sync>(
 
     let verify_span = obs::span(Subsystem::Harness, "verify");
     let checksum = verify(&domain, &shared);
-    debug_assert_eq!(domain.tracked_lines(), 0, "directory must drain");
+    assert_eq!(domain.tracked_lines(), 0, "directory must drain");
     drop(verify_span);
 
     RunOutcome {

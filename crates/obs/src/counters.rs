@@ -112,6 +112,8 @@ counters! {
     TxAborts => (Engine, "tx_aborts", "Hardware transactions aborted."),
     SchedSyncs => (Sched, "sched_syncs", "Virtual-time scheduler synchronization calls."),
     SchedBlocks => (Sched, "sched_blocks", "Scheduler syncs that had to block."),
+    SchedParks => (Sched, "sched_parks", "Scheduler blocks that fell through to an OS park."),
+    SchedLockRecoveries => (Sched, "sched_lock_recoveries", "Poisoned scheduler locks recovered instead of panicking."),
     DirectoryConflictChecks => (Directory, "directory_conflict_checks", "Transactional read/write declarations checked for conflicts."),
     DirectoryDooms => (Directory, "directory_dooms", "Conflict dooms issued by the directory."),
     RtmHtmAttempts => (Runtime, "rtm_htm_attempts", "Hardware-path attempts by the RTM runtime."),

@@ -148,6 +148,13 @@ impl HtmDomain {
             .load(std::sync::atomic::Ordering::Relaxed)
     }
 
+    /// Diagnostic: scheduler blocks that fell through to an OS park.
+    pub fn scheduler_parks(&self) -> u64 {
+        self.scheduler
+            .parks
+            .load(std::sync::atomic::Ordering::Relaxed)
+    }
+
     /// Number of cache lines currently tracked by the conflict directory.
     /// Useful for asserting the directory drains after quiescence.
     pub fn tracked_lines(&self) -> usize {

@@ -448,6 +448,9 @@ fn concurrent_transactional_counter_is_exact() {
 
     assert_eq!(d.mem.load(addr), THREADS as u64 * INCS);
     assert_eq!(d.tracked_lines(), 0, "directory must drain at quiescence");
+    // Hand-off accounting: a park is one way a block ends, never more.
+    assert!(d.scheduler_blocks() > 0);
+    assert!(d.scheduler_parks() <= d.scheduler_blocks());
 }
 
 #[test]
