@@ -62,6 +62,7 @@ The CM only acts on the software fallback path, so --cm without
 serve drives the experiment's workload mix in a loop while exposing the
 live profile over HTTP on 127.0.0.1 (--port 0 picks an ephemeral port):
 /healthz, /metrics (Prometheus), /profile.json, /flamegraph, /trend,
+/diff?from=N&to=M (totals diff between two retained epochs),
 /delta?since=N (epoch-delta export for aggregators). A delta is
 published to the snapshot hub every K samples (--snapshot-interval,
 default 1000); --rounds 0 (default) runs until interrupted. The
@@ -559,7 +560,9 @@ fn serve_command(serve_cfg: serve::ServeConfig) -> ! {
     };
     // Parseable by scripts (and humans) even when the port was ephemeral.
     println!("serving on http://{}", handle.addr());
-    println!("endpoints: /healthz /metrics /profile.json /flamegraph /trend /delta?since=N");
+    println!(
+        "endpoints: /healthz /metrics /profile.json /flamegraph /trend /delta?since=N /diff?from=N&to=M"
+    );
     // Blocks forever with --rounds 0 — serve mode runs until interrupted.
     let outcome = handle.wait_workload();
     if let Some(outcome) = outcome {

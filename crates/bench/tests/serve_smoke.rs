@@ -2,7 +2,13 @@
 //! an ephemeral port, scrape the endpoints with the std-only test client
 //! while the workload runs, check the Prometheus exposition is well-formed
 //! with cycle shares summing to 1, check the live flamegraph agrees with an
-//! offline render of the saved snapshot, and shut down cleanly.
+//! offline render of the saved snapshot, and shut down cleanly. On the way
+//! it misbehaves once each way a client can (an over-long request line, a
+//! connection that never sends its request) and expects the scrapes after
+//! it to be unaffected.
+
+use std::io::{Read, Write};
+use std::net::TcpStream;
 
 use live::http_get;
 use txbench::serve::{serve_start, ServeConfig};
@@ -39,8 +45,24 @@ fn serve_session_scrapes_and_shuts_down_cleanly() {
     let outcome = handle.wait_workload().expect("driver joins");
     assert_eq!(outcome.rounds, 2);
 
+    // Two hostile clients ahead of the scrape: one request line far over
+    // the cap (refused with 414), and one connection held open without a
+    // byte sent, which the server gives up on (408) instead of waiting.
+    let mut long = TcpStream::connect(addr).expect("server accepts");
+    write!(long, "GET /{} HTTP/1.1\r\n\r\n", "a".repeat(64 * 1024)).expect("request sent");
+    let mut refusal = String::new();
+    long.read_to_string(&mut refusal).expect("refusal read");
+    assert!(refusal.starts_with("HTTP/1.1 414 "), "over-long: {refusal}");
+    drop(long);
+    let half_open = TcpStream::connect(addr).expect("server accepts");
+
     let (status, metrics) = http_get(addr, "/metrics").expect("metrics reachable");
     assert!(status.contains("200 OK"), "metrics: {status}");
+    drop(half_open);
+    assert!(
+        metrics.contains("counter=\"http_bad_requests\"} 2\n"),
+        "both refusals are counted"
+    );
     // Well-formed exposition: comments are HELP/TYPE, samples are
     // `name[{labels}] value` with parseable float values.
     let mut cycle_share_sum = 0.0;

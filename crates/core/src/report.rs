@@ -456,6 +456,7 @@ pub fn render_self_cost(snapshot: &obs::Snapshot) -> String {
         ("flamegraph", Counter::HttpFlamegraphRequests),
         ("delta", Counter::HttpDeltaRequests),
         ("trend", Counter::HttpTrendRequests),
+        ("diff", Counter::HttpDiffRequests),
         ("other", Counter::HttpOtherRequests),
     ];
     if http.iter().any(|&(_, c)| snapshot.get(c) > 0) {

@@ -21,14 +21,14 @@
 //!   synthetic `inst{i}:func{id}` name: never mis-merged across instances,
 //!   still distinguishable in the flamegraph.
 //!
-//! Everything is std-only (`TcpStream` polling, the same minimal HTTP
-//! server as [`crate::LiveServer`]).
+//! Everything is std-only: polling and the pane both go through the
+//! shared [`crate::http`] plane, like [`crate::LiveServer`].
 
-use std::io::{self, Write};
-use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::fmt::Write as _;
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use obs::Counter;
@@ -36,8 +36,8 @@ use txsampler::store::{self, DeltaChunk, FuncNames};
 use txsampler::{report, Profile};
 use txsim_pmu::FuncId;
 
-use crate::prometheus::{family, gauge_f64, shares};
-use crate::server::http_get;
+use crate::http::{self, http_get, json_escape, Request, Response, NOT_FOUND};
+use crate::prometheus::{family, shares};
 
 /// Thread-id stride separating instances in the fleet-merged profile's
 /// per-thread summaries: instance `i`'s thread `t` appears as
@@ -207,21 +207,37 @@ impl Aggregator {
     /// state, and opens an exponentially growing (but bounded) backoff
     /// window of skipped rounds, so a dead instance does not tax the loop;
     /// the next attempted poll retries from the same epoch.
+    /// The lock is held to pick the due instances and to book each result,
+    /// never across a poll, which can block for [`http_get`]'s timeouts.
     pub fn poll_all(&self) {
-        let mut instances = self.lock_instances();
-        for inst in instances.iter_mut() {
-            if inst.skip_polls > 0 {
-                inst.skip_polls -= 1;
-                inst.backoffs += 1;
-                obs::count(Counter::AggBackoffs);
-                continue;
-            }
-            inst.polls += 1;
-            obs::count(Counter::AggPolls);
-            match poll_delta(inst.addr, inst.epoch) {
+        let due: Vec<(usize, SocketAddr, u64)> = self
+            .lock_instances()
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(index, inst)| {
+                if inst.skip_polls > 0 {
+                    inst.skip_polls -= 1;
+                    inst.backoffs += 1;
+                    obs::count(Counter::AggBackoffs);
+                    return None;
+                }
+                inst.polls += 1;
+                obs::count(Counter::AggPolls);
+                Some((index, inst.addr, inst.epoch))
+            })
+            .collect();
+        for (index, addr, since) in due {
+            let result = poll_delta(addr, since);
+            let mut instances = self.lock_instances();
+            let inst = &mut instances[index];
+            match result {
                 Ok((bytes, chunk)) => {
                     inst.delta_bytes += bytes as u64;
-                    inst.absorb(&chunk);
+                    // A concurrent `poll_all` may have absorbed this range
+                    // while the lock was released; twice would double-count.
+                    if inst.epoch == since {
+                        inst.absorb(&chunk);
+                    }
                     inst.healthy = true;
                     inst.last_error = None;
                     inst.consecutive_errors = 0;
@@ -311,15 +327,12 @@ impl Aggregator {
 /// Issue one `/delta?since=N` poll and parse the chunk. Returns the body
 /// size too, so the follower can account transfer volume.
 fn poll_delta(addr: SocketAddr, since: u64) -> io::Result<(usize, DeltaChunk)> {
+    let invalid = |message: String| io::Error::new(io::ErrorKind::InvalidData, message);
     let (status, body) = http_get(addr, &format!("/delta?since={since}"))?;
     if !status.contains("200") {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("/delta returned {status}"),
-        ));
+        return Err(invalid(format!("/delta returned {status}")));
     }
-    let chunk = store::load_delta(&body)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    let chunk = store::load_delta(&body).map_err(|e| invalid(e.to_string()))?;
     Ok((body.len(), chunk))
 }
 
@@ -332,147 +345,114 @@ pub fn render_fleet_metrics(agg: &Aggregator) -> String {
     let totals = fleet.totals();
     let mut out = String::new();
 
-    family(
-        &mut out,
-        "txsampler_fleet_instances",
-        "gauge",
-        "Instances the aggregator follows (healthy = most recent poll succeeded).",
-    );
-    let _ = std::fmt::Write::write_fmt(
-        &mut out,
-        format_args!("txsampler_fleet_instances {}\n", statuses.len()),
-    );
-    family(
-        &mut out,
-        "txsampler_fleet_instances_healthy",
-        "gauge",
-        "Followed instances whose most recent poll succeeded.",
-    );
     let healthy = statuses.iter().filter(|s| s.healthy).count();
-    let _ = std::fmt::Write::write_fmt(
-        &mut out,
-        format_args!("txsampler_fleet_instances_healthy {healthy}\n"),
-    );
-
-    family(
-        &mut out,
-        "txsampler_fleet_samples_total",
-        "counter",
-        "PMU samples absorbed across the whole fleet.",
-    );
-    let _ = std::fmt::Write::write_fmt(
-        &mut out,
-        format_args!("txsampler_fleet_samples_total {}\n", fleet.samples),
-    );
-
-    family(
-        &mut out,
-        "txsampler_fleet_cycles_total",
-        "counter",
-        "Sampled work cycles (W) across the whole fleet.",
-    );
-    let _ = std::fmt::Write::write_fmt(
-        &mut out,
-        format_args!("txsampler_fleet_cycles_total {}\n", totals.w),
-    );
-
-    family(
-        &mut out,
-        "txsampler_fleet_commits_total",
-        "counter",
-        "Sampled RTM commit events across the whole fleet.",
-    );
-    let _ = std::fmt::Write::write_fmt(
-        &mut out,
-        format_args!("txsampler_fleet_commits_total {}\n", totals.commit_samples),
-    );
-
-    family(
-        &mut out,
-        "txsampler_fleet_aborts_total",
-        "counter",
-        "Sampled application-caused RTM abort events across the whole fleet.",
-    );
-    let _ = std::fmt::Write::write_fmt(
-        &mut out,
-        format_args!("txsampler_fleet_aborts_total {}\n", totals.abort_samples),
-    );
-
-    family(
-        &mut out,
-        "txsampler_fleet_cycle_share",
-        "gauge",
-        "Share of sampled cycles per time component, fleet-wide.",
-    );
-    shares(
-        &mut out,
-        "txsampler_fleet_cycle_share",
-        &fleet.time_breakdown(),
-    );
-
-    family(
-        &mut out,
-        "txsampler_instance_up",
-        "gauge",
-        "Whether the most recent poll of this instance succeeded.",
-    );
-    for s in &statuses {
-        gauge_f64(
-            &mut out,
-            &format!(
-                "txsampler_instance_up{{instance=\"{}\",target=\"{}\"}}",
-                s.index, s.target
-            ),
-            if s.healthy { 1.0 } else { 0.0 },
-        );
+    for (name, kind, help, value) in [
+        (
+            "txsampler_fleet_instances",
+            "gauge",
+            "Instances the aggregator follows (healthy = most recent poll succeeded).",
+            statuses.len() as u64,
+        ),
+        (
+            "txsampler_fleet_instances_healthy",
+            "gauge",
+            "Followed instances whose most recent poll succeeded.",
+            healthy as u64,
+        ),
+        (
+            "txsampler_fleet_samples_total",
+            "counter",
+            "PMU samples absorbed across the whole fleet.",
+            fleet.samples,
+        ),
+        (
+            "txsampler_fleet_cycles_total",
+            "counter",
+            "Sampled work cycles (W) across the whole fleet.",
+            totals.w,
+        ),
+        (
+            "txsampler_fleet_commits_total",
+            "counter",
+            "Sampled RTM commit events across the whole fleet.",
+            totals.commit_samples,
+        ),
+        (
+            "txsampler_fleet_aborts_total",
+            "counter",
+            "Sampled application-caused RTM abort events across the whole fleet.",
+            totals.abort_samples,
+        ),
+    ] {
+        family(&mut out, name, kind, help);
+        let _ = writeln!(out, "{name} {value}");
     }
-    for (name, help, get) in [
+
+    let name = "txsampler_fleet_cycle_share";
+    let help = "Share of sampled cycles per time component, fleet-wide.";
+    family(&mut out, name, "gauge", help);
+    shares(&mut out, name, &fleet.time_breakdown());
+
+    type Series = fn(&InstanceStatus) -> u64;
+    let per_instance: [(&str, &str, &str, Series); 8] = [
+        (
+            "txsampler_instance_up",
+            "gauge",
+            "Whether the most recent poll of this instance succeeded.",
+            |s| s.healthy as u64,
+        ),
         (
             "txsampler_instance_samples_total",
+            "counter",
             "PMU samples absorbed from this instance.",
-            &(|s: &InstanceStatus| s.samples) as &dyn Fn(&InstanceStatus) -> u64,
+            |s| s.samples,
         ),
         (
             "txsampler_instance_epoch",
+            "counter",
             "Last snapshot epoch absorbed from this instance.",
-            &|s: &InstanceStatus| s.epoch,
+            |s| s.epoch,
         ),
         (
             "txsampler_instance_polls_total",
+            "counter",
             "Delta polls attempted against this instance.",
-            &|s: &InstanceStatus| s.polls,
+            |s| s.polls,
         ),
         (
             "txsampler_instance_poll_errors_total",
+            "counter",
             "Delta polls that failed against this instance.",
-            &|s: &InstanceStatus| s.errors,
+            |s| s.errors,
         ),
         (
             "txsampler_instance_resyncs_total",
+            "counter",
             "Full resyncs performed for this instance (restart or lag).",
-            &|s: &InstanceStatus| s.resyncs,
+            |s| s.resyncs,
         ),
         (
             "txsampler_instance_delta_bytes_total",
+            "counter",
             "Delta-chunk bytes transferred from this instance.",
-            &|s: &InstanceStatus| s.delta_bytes,
+            |s| s.delta_bytes,
         ),
         (
             "txsampler_instance_backoffs_total",
+            "counter",
             "Poll rounds skipped for this instance while backing off after failures.",
-            &|s: &InstanceStatus| s.backoffs,
+            |s| s.backoffs,
         ),
-    ] {
-        family(&mut out, name, "counter", help);
+    ];
+    for (name, kind, help, get) in per_instance {
+        family(&mut out, name, kind, help);
         for s in &statuses {
-            let _ = std::fmt::Write::write_fmt(
-                &mut out,
-                format_args!(
-                    "{name}{{instance=\"{}\",target=\"{}\"}} {}\n",
-                    s.index,
-                    s.target,
-                    get(s)
-                ),
+            let _ = writeln!(
+                out,
+                "{name}{{instance=\"{}\",target=\"{}\"}} {}",
+                s.index,
+                s.target,
+                get(s)
             );
         }
     }
@@ -487,31 +467,29 @@ pub fn render_instances_json(agg: &Aggregator) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = std::fmt::Write::write_fmt(
-            &mut out,
-            format_args!(
-                concat!(
-                    "{{\"instance\":{},\"target\":\"{}\",\"healthy\":{},",
-                    "\"epoch\":{},\"samples\":{},\"polls\":{},\"errors\":{},",
-                    "\"resyncs\":{},\"delta_bytes\":{},\"backoffs\":{},",
-                    "\"backoff_remaining\":{},\"last_error\":{}}}"
-                ),
-                s.index,
-                s.target,
-                s.healthy,
-                s.epoch,
-                s.samples,
-                s.polls,
-                s.errors,
-                s.resyncs,
-                s.delta_bytes,
-                s.backoffs,
-                s.backoff_remaining,
-                match &s.last_error {
-                    Some(e) => format!("\"{}\"", crate::server::json_escape(e)),
-                    None => "null".to_string(),
-                },
+        let _ = write!(
+            out,
+            concat!(
+                "{{\"instance\":{},\"target\":\"{}\",\"healthy\":{},",
+                "\"epoch\":{},\"samples\":{},\"polls\":{},\"errors\":{},",
+                "\"resyncs\":{},\"delta_bytes\":{},\"backoffs\":{},",
+                "\"backoff_remaining\":{},\"last_error\":{}}}"
             ),
+            s.index,
+            s.target,
+            s.healthy,
+            s.epoch,
+            s.samples,
+            s.polls,
+            s.errors,
+            s.resyncs,
+            s.delta_bytes,
+            s.backoffs,
+            s.backoff_remaining,
+            match &s.last_error {
+                Some(e) => format!("\"{}\"", json_escape(e)),
+                None => "null".to_string(),
+            },
         );
     }
     out.push_str("]\n");
@@ -522,208 +500,76 @@ pub fn render_instances_json(agg: &Aggregator) -> String {
 /// instances plus an HTTP pane serving the merged view. Dropping it (or
 /// calling [`AggServer::shutdown`]) stops both threads.
 #[derive(Debug)]
-pub struct AggServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
-}
+pub struct AggServer(http::ServerHandle);
 
 impl AggServer {
     /// Bind `127.0.0.1:port` (0 picks an ephemeral port), start polling
     /// `targets` every `poll_interval`, and serve the fleet pane.
     pub fn start(targets: &[String], port: u16, poll_interval: Duration) -> io::Result<AggServer> {
         let agg = Arc::new(Aggregator::new(targets)?);
-        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, port))?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let started = Instant::now();
-
-        let poll_agg = Arc::clone(&agg);
-        let poll_stop = Arc::clone(&stop);
-        let poller = std::thread::Builder::new()
-            .name("txsampler-agg-poll".into())
-            .spawn(move || {
-                while !poll_stop.load(Ordering::SeqCst) {
-                    poll_agg.poll_all();
-                    // Sleep in small slices so shutdown stays prompt even
-                    // with long poll intervals.
-                    let deadline = Instant::now() + poll_interval;
-                    while Instant::now() < deadline {
-                        if poll_stop.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(10).min(poll_interval));
-                    }
-                }
-            })?;
-
-        let serve_stop = Arc::clone(&stop);
-        let server = std::thread::Builder::new()
-            .name("txsampler-agg-http".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if serve_stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match conn {
-                        Ok(stream) => {
-                            let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-                            let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-                            let _ = handle_connection(stream, &agg, started);
-                        }
-                        Err(_) => continue,
-                    }
-                }
-            })?;
-
-        Ok(AggServer {
-            addr,
-            stop,
-            threads: vec![poller, server],
-        })
+        let pane = Arc::clone(&agg);
+        let mut handle = http::serve("txsampler-agg-http", port, move |request| {
+            route(request, &pane, started)
+        })?;
+        handle.spawn_beside("txsampler-agg-poll", move |stop| {
+            while !stop.load(Ordering::SeqCst) {
+                agg.poll_all();
+                // Shutdown unparks, so a long interval does not delay it.
+                std::thread::park_timeout(poll_interval);
+            }
+        })?;
+        Ok(AggServer(handle))
     }
 
     /// The bound address of the fleet pane (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr
     }
 
     /// Stop polling and serving; joins both threads.
     pub fn shutdown(&mut self) {
-        if self.threads.is_empty() {
-            return;
-        }
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        for thread in self.threads.drain(..) {
-            let _ = thread.join();
-        }
+        self.0.shutdown();
     }
 }
 
-impl Drop for AggServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn handle_connection(stream: TcpStream, agg: &Aggregator, started: Instant) -> io::Result<()> {
-    use std::io::{BufRead, BufReader};
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let mut header = String::new();
-    while reader.read_line(&mut header)? > 0 && header.trim() != "" {
-        header.clear();
-    }
-    let mut stream = reader.into_inner();
-
-    if method != "GET" {
-        return respond(
-            &mut stream,
-            "405 Method Not Allowed",
-            "text/plain; charset=utf-8",
-            "only GET is supported\n",
-        );
-    }
-    let (path, query) = match path.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (path, ""),
-    };
-
-    match path {
+fn route(request: &Request<'_>, agg: &Aggregator, started: Instant) -> Response {
+    // Only /flamegraph takes a parameter; the other routes ignore the
+    // query string, as `LiveServer`'s do.
+    match request.path {
         "/healthz" => {
             let statuses = agg.statuses();
             let healthy = statuses.iter().filter(|s| s.healthy).count();
-            let body = format!(
+            Response::json(format!(
                 "{{\"status\":\"ok\",\"instances\":{},\"healthy\":{},\"uptime_ms\":{}}}\n",
                 statuses.len(),
                 healthy,
                 started.elapsed().as_millis(),
-            );
-            respond(
-                &mut stream,
-                "200 OK",
-                "application/json; charset=utf-8",
-                &body,
-            )
+            ))
         }
-        "/metrics" => {
-            let body = render_fleet_metrics(agg);
-            respond(
-                &mut stream,
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                &body,
-            )
-        }
-        "/instances" => {
-            let body = render_instances_json(agg);
-            respond(
-                &mut stream,
-                "200 OK",
-                "application/json; charset=utf-8",
-                &body,
-            )
-        }
-        "/flamegraph" => {
-            // `?instance=i` drills into one instance's own profile (its
-            // own func-id space); bare `/flamegraph` is the fleet merge.
-            let mut instance: Option<usize> = None;
-            for pair in query.split('&').filter(|s| !s.is_empty()) {
-                if let Some(("instance", value)) = pair.split_once('=') {
-                    match value.parse() {
-                        Ok(i) => instance = Some(i),
-                        Err(_) => {
-                            return respond(
-                                &mut stream,
-                                "400 Bad Request",
-                                "text/plain; charset=utf-8",
-                                &format!("instance must be an index, got {value:?}\n"),
-                            )
-                        }
-                    }
-                }
-            }
-            let body = match instance {
-                Some(i) => match agg.instance_profile(i) {
-                    Some((profile, funcs)) => report::render_folded_names(&profile, &funcs),
-                    None => {
-                        return respond(
-                            &mut stream,
-                            "404 Not Found",
-                            "text/plain; charset=utf-8",
-                            &format!("no instance {i}; see /instances\n"),
-                        )
-                    }
-                },
-                None => {
-                    let (fleet, names) = agg.fleet();
-                    report::render_folded_names(&fleet, &names)
-                }
-            };
-            respond(&mut stream, "200 OK", "text/plain; charset=utf-8", &body)
-        }
-        _ => respond(
-            &mut stream,
-            "404 Not Found",
-            "text/plain; charset=utf-8",
+        "/metrics" => Response::prometheus(render_fleet_metrics(agg)),
+        "/instances" => Response::json(render_instances_json(agg)),
+        "/flamegraph" => flamegraph(agg, request).unwrap_or_else(|refusal| refusal),
+        _ => Response::error(
+            NOT_FOUND,
             "not found; try /healthz, /metrics, /instances, /flamegraph[?instance=i]\n",
         ),
     }
 }
 
-fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str) -> io::Result<()> {
-    let header = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(header.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+/// `?instance=i` drills into one instance's own profile (its own func-id
+/// space); bare `/flamegraph` is the fleet merge.
+fn flamegraph(agg: &Aggregator, request: &Request<'_>) -> Result<Response, Response> {
+    let [instance] = request.params::<usize, 1>(["instance"], "an index")?;
+    let (profile, names) = match instance {
+        Some(i) => agg.instance_profile(i).ok_or_else(|| {
+            Response::error(NOT_FOUND, format!("no instance {i}; see /instances\n"))
+        })?,
+        None => agg.fleet(),
+    };
+    Ok(Response::text(report::render_folded_names(
+        &profile, &names,
+    )))
 }
 
 #[cfg(test)]
@@ -911,6 +757,106 @@ mod tests {
             metrics.contains("txsampler_instance_backoffs_total{instance=\"0\""),
             "metrics: {metrics}"
         );
+    }
+
+    /// Read one request head off `conn` and return its request line.
+    fn request_line(conn: &std::net::TcpStream) -> String {
+        use std::io::BufRead;
+        let mut lines = std::io::BufReader::new(conn).lines();
+        let first = lines.next().expect("a request").expect("readable");
+        for line in lines {
+            if line.expect("readable").is_empty() {
+                break;
+            }
+        }
+        first
+    }
+
+    #[test]
+    fn truncated_delta_is_an_error_not_a_shorter_chunk() {
+        use std::io::Write;
+        // Two statements, so dropping the last line leaves a body that
+        // still parses — as a chunk with less in it.
+        let mut profile = fragment(1, 5);
+        profile.absorb_profile(&fragment(2, 3), 0);
+        let body = store::save_delta_with_names(&profile, 0, 4, false, &|_| None);
+        let cut = body[..body.len() - 1].rfind('\n').expect("several lines") + 1;
+        let partial = store::load_delta(&body[..cut]).expect("a line-aligned prefix parses");
+        assert_eq!((partial.since, partial.to), (0, 4));
+
+        // A one-shot fake instance per poll: the first dies mid-body, the
+        // second answers in full. Both advertise the full length.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let agg = Aggregator::new(&[listener.local_addr().unwrap().to_string()]).unwrap();
+        let instance = std::thread::spawn({
+            let body = body.clone();
+            move || {
+                for sent in [cut, body.len()] {
+                    let (mut conn, _) = listener.accept().expect("follower connects");
+                    assert_eq!(request_line(&conn), "GET /delta?since=0 HTTP/1.1");
+                    write!(
+                        conn,
+                        "HTTP/1.1 200 OK\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
+                        body.len(),
+                        &body[..sent]
+                    )
+                    .expect("response sent");
+                }
+            }
+        });
+
+        agg.poll_all();
+        let s = &agg.statuses()[0];
+        assert_eq!((s.errors, s.healthy), (1, false), "{:?}", s.last_error);
+        assert_eq!((s.epoch, s.samples), (0, 0), "nothing absorbed");
+        assert!(s.last_error.as_deref().unwrap().contains("body ended"));
+
+        // One backed-off round, then the retry asks from the same epoch
+        // and catches up exactly.
+        agg.poll_all();
+        agg.poll_all();
+        instance.join().expect("both polls asked since=0");
+        let s = &agg.statuses()[0];
+        assert_eq!((s.polls, s.errors, s.healthy), (2, 1, true));
+        assert_eq!((s.epoch, s.samples), (4, 8));
+        assert_eq!(s.delta_bytes, body.len() as u64);
+        assert_eq!(agg.fleet().0.totals().w, 8);
+    }
+
+    #[test]
+    fn pane_answers_while_a_poll_is_stuck_on_a_silent_instance() {
+        // Instance 0 accepts and never answers; instance 1 is dead.
+        let black_hole = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let targets = [
+            black_hole.local_addr().unwrap().to_string(),
+            "127.0.0.1:4000".to_string(),
+        ];
+        let agg = Arc::new(Aggregator::new(&targets).unwrap());
+        let poller = std::thread::spawn({
+            let agg = Arc::clone(&agg);
+            move || agg.poll_all()
+        });
+        // Once the request has arrived the poll is parked in its read.
+        let (conn, _) = black_hole.accept().expect("follower connects");
+        assert_eq!(request_line(&conn), "GET /delta?since=0 HTTP/1.1");
+
+        let asked = Instant::now();
+        let statuses = agg.statuses();
+        let metrics = render_fleet_metrics(&agg);
+        assert!(
+            asked.elapsed() < Duration::from_secs(1),
+            "pane blocked behind the poll for {:?}",
+            asked.elapsed()
+        );
+        assert_eq!(statuses[0].polls, 1, "the poll is booked as in flight");
+        assert!(metrics.contains("txsampler_fleet_instances 2"));
+
+        // Hanging up ends the poll: booked as an error, then the round
+        // moves on to the next instance.
+        drop(conn);
+        poller.join().expect("poll round finishes");
+        let statuses = agg.statuses();
+        assert_eq!((statuses[0].errors, statuses[1].errors), (1, 1));
     }
 
     #[test]

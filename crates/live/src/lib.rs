@@ -7,7 +7,7 @@
 //! [`txsampler::Profile`], and [`LiveServer`] exposes that snapshot over
 //! plain HTTP while collection keeps running:
 //!
-//! - `/healthz` — liveness probe (`ok`).
+//! - `/healthz` — liveness probe (JSON: epoch, uptime, snapshot cadence).
 //! - `/metrics` — Prometheus text exposition: cycle shares per time
 //!   component (cumulative and latest-window), abort counts and weight by
 //!   cause, sharing diagnoses, and the profiler's own self-cost counters.
@@ -15,30 +15,26 @@
 //!   breakdown, and the full store-format text (with function names) as an
 //!   embedded string, so `repro flamegraph` can consume a saved copy.
 //! - `/flamegraph` — the snapshot's CCT as collapsed stacks (folded
-//!   format), cycle-weighted, `_[tx]` marking speculative frames; pipe to
-//!   flamegraph.pl or any flamegraph web viewer.
-//!
-//! Two more endpoints feed fleet-scale aggregation ([`agg`]):
-//!
+//!   format), cycle-weighted, `_[tx]` marking speculative frames.
+//! - `/trend`, `/diff?from=N&to=M` — the hub's retained per-epoch trend
+//!   rows as TSV, and a totals-level diff between two retained epochs.
 //! - `/delta?since=N` — the epoch-delta export: only the activity after
 //!   epoch N (plus any func names first referenced since), serialized as a
-//!   `txsampler-delta` chunk. Followers poll this instead of re-downloading
-//!   the whole store.
-//! - `/trend` — the hub's retained per-epoch trend rows as TSV, with a
-//!   count of rows truncated off the front.
+//!   `txsampler-delta` chunk. The [`agg`] module follows N such servers by
+//!   polling it and serves one merged pane (`repro agg --follow a,b`).
 //!
-//! The [`agg`] module follows N such servers and serves one merged pane
-//! (`repro agg --follow host:port,host:port`).
-//!
-//! Everything is std-only — `std::net::TcpListener`, no external HTTP or
-//! serialization dependencies — to keep the workspace offline-buildable.
+//! Both panes are route tables over one private `http` module, which owns
+//! the wire policy. Everything is std-only — `std::net::TcpListener`, no
+//! external HTTP or serialization dependencies — to stay offline-buildable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agg;
+mod http;
 pub mod prometheus;
 pub mod server;
 
 pub use agg::{AggServer, Aggregator};
-pub use server::{http_get, LiveServer};
+pub use http::http_get;
+pub use server::LiveServer;

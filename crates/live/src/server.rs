@@ -1,40 +1,24 @@
-//! A deliberately minimal HTTP/1.1 server on `std::net::TcpListener`.
-//!
-//! Serial accept loop on one background thread: the observability plane is
-//! a debugging aid scraped by one Prometheus instance or one person with
-//! `curl`, so concurrency would buy nothing and cost a thread pool. Every
-//! response carries `Content-Length` and `Connection: close`, which keeps
-//! the protocol state machine trivial (one request per connection).
-//!
-//! Shutdown uses a poison pill: [`LiveServer::shutdown`] raises a flag and
-//! then connects to the listener itself so the blocking `accept` wakes up,
-//! observes the flag and returns. No platform-specific socket teardown.
+//! The single-instance pane: [`LiveServer`] serves one [`SnapshotHub`]'s
+//! snapshots as routes over the shared [`crate::http`] plane (framing,
+//! limits and the serial accept loop live there).
 
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use obs::Counter;
 use txsampler::collect::{SnapshotHub, SnapshotPolicy};
 use txsampler::{report, store};
 use txsim_pmu::FuncRegistry;
 
+use crate::http::{self, json_escape, Request, Response, NOT_FOUND};
 use crate::prometheus;
-
-/// Content type for the Prometheus text exposition format.
-const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 
 /// Handle to a running live-observability server. Dropping it (or calling
 /// [`LiveServer::shutdown`]) stops the accept loop and joins the thread.
 #[derive(Debug)]
-pub struct LiveServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
+pub struct LiveServer(http::ServerHandle);
 
 impl LiveServer {
     /// Bind `127.0.0.1:port` (`port` 0 picks an ephemeral port) and serve
@@ -42,105 +26,33 @@ impl LiveServer {
     /// workload interns its functions into — it resolves [`txsim_pmu::FuncId`]s
     /// to names for `/flamegraph` and `/profile.json`.
     pub fn start(hub: Arc<SnapshotHub>, funcs: FuncRegistry, port: u16) -> io::Result<LiveServer> {
-        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, port))?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
         let started = Instant::now();
-        let thread = std::thread::Builder::new()
-            .name("txsampler-live".into())
-            .spawn(move || accept_loop(listener, hub, funcs, stop_flag, started))?;
-        Ok(LiveServer {
-            addr,
-            stop,
-            thread: Some(thread),
+        http::serve("txsampler-live", port, move |request| {
+            route(request, &hub, &funcs, started)
         })
+        .map(LiveServer)
     }
 
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr
     }
 
     /// Stop accepting, wake the accept loop and join the server thread.
     pub fn shutdown(&mut self) {
-        if self.thread.is_none() {
-            return;
-        }
-        self.stop.store(true, Ordering::SeqCst);
-        // Poison pill: unblock `accept` by connecting to ourselves. If the
-        // connect fails the listener is already gone, which is fine.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
+        self.0.shutdown();
     }
 }
 
-impl Drop for LiveServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    hub: Arc<SnapshotHub>,
-    funcs: FuncRegistry,
-    stop: Arc<AtomicBool>,
-    started: Instant,
-) {
-    for conn in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match conn {
-            Ok(stream) => {
-                // A wedged client must not park the server forever.
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-                let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-                let _ = handle_connection(stream, &hub, &funcs, started);
-            }
-            Err(_) => continue,
-        }
-    }
-}
-
-fn handle_connection(
-    stream: TcpStream,
+fn route(
+    request: &Request<'_>,
     hub: &SnapshotHub,
     funcs: &FuncRegistry,
     started: Instant,
-) -> io::Result<()> {
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    // Drain headers so well-behaved clients see us consume the request.
-    let mut header = String::new();
-    while reader.read_line(&mut header)? > 0 && header.trim() != "" {
-        header.clear();
-    }
-    let mut stream = reader.into_inner();
-
-    if method != "GET" {
-        return respond(
-            &mut stream,
-            "405 Method Not Allowed",
-            "text/plain; charset=utf-8",
-            "only GET is supported\n",
-        );
-    }
-    // Split off the query string; only /diff interprets it, the rest
-    // ignore it (`/metrics?x=1` scrapes /metrics).
-    let (path, query) = match path.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (path, ""),
-    };
-
-    match path {
+) -> Response {
+    // Only /delta and /diff interpret the query string; the rest ignore it
+    // (`/metrics?x=1` scrapes /metrics), as cache-busting scrapers expect.
+    match request.path {
         "/healthz" => {
             obs::count(Counter::HttpHealthzRequests);
             // JSON so the fleet aggregator (and a human gauging follower
@@ -149,7 +61,7 @@ fn handle_connection(
                 SnapshotPolicy::EverySamples(n) => ("every_samples", n),
                 SnapshotPolicy::EveryCycles(n) => ("every_cycles", n),
             };
-            let body = format!(
+            Response::json(format!(
                 concat!(
                     "{{\"status\":\"ok\",\"epoch\":{},\"uptime_ms\":{},",
                     "\"snapshot_policy\":\"{}\",\"snapshot_interval\":{}}}\n"
@@ -158,27 +70,24 @@ fn handle_connection(
                 started.elapsed().as_millis(),
                 policy,
                 interval,
-            );
-            respond(
-                &mut stream,
-                "200 OK",
-                "application/json; charset=utf-8",
-                &body,
-            )
+            ))
         }
         "/metrics" => {
             obs::count(Counter::HttpMetricsRequests);
             let view = hub.latest();
             let window = hub.window();
-            let body = prometheus::render(&view, window.as_ref(), &obs::registry().snapshot());
-            respond(&mut stream, "200 OK", PROMETHEUS_CONTENT_TYPE, &body)
+            Response::prometheus(prometheus::render(
+                &view,
+                window.as_ref(),
+                &obs::registry().snapshot(),
+            ))
         }
         "/profile.json" => {
             obs::count(Counter::HttpProfileRequests);
             let view = hub.latest();
             let breakdown = view.profile.time_breakdown();
             let store_text = store::save_with_funcs(&view.profile, funcs);
-            let body = format!(
+            Response::json(format!(
                 concat!(
                     "{{\"epoch\":{},\"samples\":{},\"threads\":{},",
                     "\"breakdown\":{{\"outside\":{},\"tx\":{},\"fallback\":{},",
@@ -193,32 +102,20 @@ fn handle_connection(
                 breakdown.lock_waiting,
                 breakdown.overhead,
                 json_escape(&store_text),
-            );
-            respond(
-                &mut stream,
-                "200 OK",
-                "application/json; charset=utf-8",
-                &body,
-            )
+            ))
         }
         "/flamegraph" => {
             obs::count(Counter::HttpFlamegraphRequests);
             let view = hub.latest();
-            let body = report::render_folded_registry(&view.profile, funcs);
-            respond(&mut stream, "200 OK", "text/plain; charset=utf-8", &body)
+            Response::text(report::render_folded_registry(&view.profile, funcs))
         }
-        "/diff" => match epoch_diff_body(hub, query) {
-            Ok(body) => respond(&mut stream, "200 OK", "text/plain; charset=utf-8", &body),
-            Err((status, body)) => respond(&mut stream, status, "text/plain; charset=utf-8", &body),
-        },
+        "/diff" => {
+            obs::count(Counter::HttpDiffRequests);
+            epoch_diff(hub, request).unwrap_or_else(|refusal| refusal)
+        }
         "/delta" => {
             obs::count(Counter::HttpDeltaRequests);
-            match delta_body(hub, funcs, query) {
-                Ok(body) => respond(&mut stream, "200 OK", "text/plain; charset=utf-8", &body),
-                Err((status, body)) => {
-                    respond(&mut stream, status, "text/plain; charset=utf-8", &body)
-                }
-            }
+            delta(hub, funcs, request).unwrap_or_else(|refusal| refusal)
         }
         "/trend" => {
             obs::count(Counter::HttpTrendRequests);
@@ -242,63 +139,38 @@ fn handle_connection(
                     row.p99_tx_cycles,
                 ));
             }
-            respond(&mut stream, "200 OK", "text/plain; charset=utf-8", &body)
+            Response::text(body)
         }
         _ => {
             obs::count(Counter::HttpOtherRequests);
-            respond(
-                &mut stream,
-                "404 Not Found",
-                "text/plain; charset=utf-8",
+            Response::error(
+                NOT_FOUND,
                 "not found; try /healthz, /metrics, /profile.json, /flamegraph, /trend, /delta?since=N, /diff?from=N&to=M\n",
             )
         }
     }
 }
 
-/// Build the `/diff?from=N&to=M` body from the hub's retained epoch
-/// history. Only totals are retained per epoch (no CCTs), so this is a
-/// totals-level diff rendered by the same [`txsampler::diff`] code path as
-/// `repro diff`. Omitted bounds default to the oldest/newest retained
-/// epoch. Returns `(status, body)` on client errors.
-fn epoch_diff_body(hub: &SnapshotHub, query: &str) -> Result<String, (&'static str, String)> {
-    let bad = |msg: String| ("400 Bad Request", msg);
-    let mut from = None;
-    let mut to = None;
-    for pair in query.split('&').filter(|s| !s.is_empty()) {
-        let (key, value) = pair
-            .split_once('=')
-            .ok_or_else(|| bad(format!("malformed query parameter {pair:?}\n")))?;
-        let epoch: u64 = value
-            .parse()
-            .map_err(|_| bad(format!("{key} must be an epoch number, got {value:?}\n")))?;
-        match key {
-            "from" => from = Some(epoch),
-            "to" => to = Some(epoch),
-            _ => return Err(bad(format!("unknown query parameter {key:?}\n"))),
-        }
-    }
+/// Answer `/diff?from=N&to=M` from the hub's retained epoch history. Only
+/// totals are retained per epoch (no CCTs), so this is a totals-level diff
+/// rendered by the same [`txsampler::diff`] code path as `repro diff`.
+/// Omitted bounds default to the oldest/newest retained epoch. `Err` is
+/// the answer to a client error.
+fn epoch_diff(hub: &SnapshotHub, request: &Request<'_>) -> Result<Response, Response> {
+    let [from, to] = request.params::<u64, 2>(["from", "to"], "an epoch number")?;
+    let not_found = |message: String| Response::error(NOT_FOUND, message);
     let history = hub.history();
-    let (oldest, newest) = match (history.first(), history.last()) {
-        (Some(first), Some(last)) => (first.epoch, last.epoch),
-        _ => {
-            return Err((
-                "404 Not Found",
-                "no epochs retained yet; publish a snapshot first\n".into(),
-            ))
-        }
+    let (Some(oldest), Some(newest)) = (history.first(), history.last()) else {
+        return Err(not_found(
+            "no epochs retained yet; publish a snapshot first\n".into(),
+        ));
     };
-    let from = from.unwrap_or(oldest);
-    let to = to.unwrap_or(newest);
+    let (oldest, newest) = (oldest.epoch, newest.epoch);
     let lookup = |epoch: u64| history.iter().find(|s| s.epoch == epoch);
-    let (a, b) = match (lookup(from), lookup(to)) {
-        (Some(a), Some(b)) => (a, b),
-        _ => {
-            return Err((
-                "404 Not Found",
-                format!("epoch not retained; retained range is {oldest}..={newest}\n"),
-            ))
-        }
+    let (Some(a), Some(b)) = (lookup(from.unwrap_or(oldest)), lookup(to.unwrap_or(newest))) else {
+        return Err(not_found(format!(
+            "epoch not retained; retained range is {oldest}..={newest}\n"
+        )));
     };
     let mut body = format!(
         "== live diff: epoch {} (A, {} samples) -> epoch {} (B, {} samples)\n",
@@ -307,102 +179,39 @@ fn epoch_diff_body(hub: &SnapshotHub, query: &str) -> Result<String, (&'static s
     body.push_str(&txsampler::diff::render_totals_diff(
         "A", "B", &a.totals, &b.totals,
     ));
-    Ok(body)
+    Ok(Response::text(body))
 }
 
-/// Build the `/delta?since=N` body: everything the hub saw after epoch N,
+/// Answer `/delta?since=N`: everything the hub saw after epoch N,
 /// serialized as a `txsampler-delta` chunk (the streamable extension of
 /// the store format). `since` omitted or 0 asks for everything; the hub
 /// decides whether that is served incrementally or as a full resync.
-fn delta_body(
+fn delta(
     hub: &SnapshotHub,
     funcs: &FuncRegistry,
-    query: &str,
-) -> Result<String, (&'static str, String)> {
-    let bad = |msg: String| ("400 Bad Request", msg);
-    let mut since = 0u64;
-    for pair in query.split('&').filter(|s| !s.is_empty()) {
-        let (key, value) = pair
-            .split_once('=')
-            .ok_or_else(|| bad(format!("malformed query parameter {pair:?}\n")))?;
-        match key {
-            "since" => {
-                since = value
-                    .parse()
-                    .map_err(|_| bad(format!("since must be an epoch number, got {value:?}\n")))?;
-            }
-            _ => return Err(bad(format!("unknown query parameter {key:?}\n"))),
-        }
-    }
-    let view = hub.delta_since(since);
+    request: &Request<'_>,
+) -> Result<Response, Response> {
+    let [since] = request.params::<u64, 1>(["since"], "an epoch number")?;
+    let view = hub.delta_since(since.unwrap_or(0));
     let full = matches!(view.kind, txsampler::collect::DeltaKind::Full);
-    Ok(store::save_delta_with_funcs(
+    Ok(Response::text(store::save_delta_with_funcs(
         &view.profile,
         view.since,
         view.to,
         full,
         funcs,
-    ))
-}
-
-fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str) -> io::Result<()> {
-    let header = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(header.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
-}
-
-/// Escape a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 16);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = std::fmt::Write::write_fmt(&mut out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Issue one blocking GET against `addr` and return `(status_line, body)`.
-/// Shared by the integration tests and the serve-mode smoke test — a
-/// std-only stand-in for an HTTP client.
-pub fn http_get(addr: SocketAddr, path: &str) -> io::Result<(String, String)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
-    )?;
-    stream.flush()?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no header/body separator"))?;
-    let status = head.lines().next().unwrap_or("").to_string();
-    Ok((status, body.to_string()))
+    )))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::http::http_get;
     use txsampler::cct::{NodeKey, ROOT};
-    use txsampler::collect::SnapshotPolicy;
     use txsampler::{Periods, ThreadProfile, TimeComponent};
     use txsim_pmu::Ip;
 
-    fn hub_with_one_delta(funcs: &FuncRegistry) -> Arc<SnapshotHub> {
+    pub(crate) fn hub_with_one_delta(funcs: &FuncRegistry) -> Arc<SnapshotHub> {
         let hub = SnapshotHub::new(SnapshotPolicy::EverySamples(1));
         let f = funcs.intern("busy_loop", "w.rs", 1);
         let mut delta = ThreadProfile {
@@ -605,11 +414,5 @@ mod tests {
         assert!(body.contains("epoch number"));
 
         server.shutdown();
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\tb\nc\"d\\e"), "a\\tb\\nc\\\"d\\\\e");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -145,6 +145,8 @@ counters! {
     HttpOtherRequests => (Live, "http_other_requests", "HTTP requests that hit an unknown path (404)."),
     HttpDeltaRequests => (Live, "http_delta_requests", "HTTP requests served on /delta (epoch-delta export)."),
     HttpTrendRequests => (Live, "http_trend_requests", "HTTP requests served on /trend."),
+    HttpDiffRequests => (Live, "http_diff_requests", "HTTP requests served on /diff (retained-epoch totals diff)."),
+    HttpBadRequests => (Live, "http_bad_requests", "HTTP request heads refused before routing (400, 408, 414, 431)."),
     AggPolls => (Live, "agg_polls", "Delta polls issued by the fleet aggregator's followers."),
     AggResyncs => (Live, "agg_resyncs", "Full resyncs the aggregator performed (instance restart or lag)."),
     AggBackoffs => (Live, "agg_backoffs", "Follower polls skipped because a failing instance was in backoff."),
