@@ -42,8 +42,11 @@ cargo test -q -p txbench --test serve_smoke
 stage "fleet-aggregation smoke test (two serve instances, one aggregator)"
 cargo test -q -p txbench --test agg_smoke
 
-stage "STM fallback smoke run (repro --fallback stm on a contended workload)"
-cargo run --release -q -p txbench --bin repro -- --fallback stm --trials 1 profile micro/true_sharing
+stage "fallback smoke runs (repro --fallback {lock,stm,hle,adaptive} on a contended workload)"
+for fallback in lock stm hle adaptive; do
+  cargo run --release -q -p txbench --bin repro -- \
+    --fallback "$fallback" --trials 1 profile micro/true_sharing > /dev/null
+done
 
 stage "adaptive-fallback regression gate (repro diff --check vs pinned baseline)"
 # Profile the mixed-phase workload under the adaptive backend and diff it

@@ -198,23 +198,6 @@ impl RunOutcome {
     }
 }
 
-fn sum_stats(a: CpuStats, b: &CpuStats) -> CpuStats {
-    CpuStats {
-        tx_begins: a.tx_begins + b.tx_begins,
-        commits: a.commits + b.commits,
-        aborts_conflict: a.aborts_conflict + b.aborts_conflict,
-        aborts_capacity: a.aborts_capacity + b.aborts_capacity,
-        aborts_sync: a.aborts_sync + b.aborts_sync,
-        aborts_explicit: a.aborts_explicit + b.aborts_explicit,
-        aborts_interrupt: a.aborts_interrupt + b.aborts_interrupt,
-        stm_commits: a.stm_commits + b.stm_commits,
-        aborts_validation: a.aborts_validation + b.aborts_validation,
-        wasted_cycles: a.wasted_cycles + b.wasted_cycles,
-        parks_in_tx: a.parks_in_tx + b.parks_in_tx,
-        parks: a.parks + b.parks,
-    }
-}
-
 /// Run a workload: `setup` builds the shared state (allocating from the
 /// domain heap), `work` runs on every worker thread concurrently, `verify`
 /// computes a checksum after quiescence.
@@ -235,7 +218,7 @@ pub fn run_workload<S: Sync>(
     let mut domain_cfg = cfg.domain.clone();
     domain_cfg.cooperative = cfg.threads > 1;
     let domain = HtmDomain::new(domain_cfg);
-    let lib = TmLib::with_backend_and_cm(&domain, cfg.fallback, cfg.cm);
+    let lib = TmLib::with_cm(&domain, 5, cfg.fallback, cfg.cm);
     let contention = Arc::new(ContentionMap::with_defaults(domain.geometry));
     let shared = setup(&domain, cfg);
     drop(setup_span);
@@ -328,7 +311,7 @@ pub fn run_workload<S: Sync>(
     let mut thread_profiles = Vec::new();
     for r in results {
         truth.merge(&r.truth);
-        stats = sum_stats(stats, &r.stats);
+        stats.merge(&r.stats);
         makespan = makespan.max(r.cycles);
         total_cycles += r.cycles;
         if let Some(p) = r.profile {

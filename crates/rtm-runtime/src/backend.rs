@@ -1,27 +1,38 @@
-//! Pluggable fallback backends.
+//! The fallback path: how a critical section completes once the hardware
+//! path has given up.
 //!
-//! When a critical section exhausts its hardware retry budget the runtime
-//! takes a *fallback path*. Historically that path was hard-wired: acquire
-//! the global lock, run serially. This module turns the policy into a
-//! [`FallbackBackend`] trait with three implementations:
+//! [`FallbackKind`] names the policy; [`TmThread::run_fallback`] resolves it
+//! to one of three concrete flavours — the static kind, or under `adaptive`
+//! whatever [`crate::SiteTable::choose`] picks for the site from its own
+//! abort-class / validation / fallback-rate EWMAs (the same
+//! [`crate::AdaptivePolicy::classify`] the decision tree's `SwitchBackend`
+//! suggestion evaluates, so report advice and runtime behaviour agree by
+//! construction):
 //!
-//! * [`GlobalLock`] — the classic single-global-lock fallback (default).
-//!   Serializes all fallback executions and, via elision subscription,
+//! * `lock` — the classic single-global-lock fallback (default):
+//!   serialize. One fallback runs at a time and, via elision subscription,
 //!   aborts every concurrent hardware transaction.
-//! * [`Tl2Stm`] — run the fallback as a TL2-style *software* transaction
+//! * `stm` — run the fallback as a TL2-style *software* transaction
 //!   ([`txstm`]). Independent fallback sections commit concurrently;
-//!   commit-time read-set validation failures surface as a new
+//!   commit-time read-set validation failures surface as the
 //!   [`AbortClass::Validation`] abort cause. Repeated validation failures
-//!   or irrevocable actions (a syscall in the body) escalate to serial
-//!   execution under the exclusive gate.
-//! * [`SingleGlobalLockElided`] — HLE-style: one more *elided* acquisition
-//!   of the global lock (transactional attempt subscribed to the lock
-//!   word), then a real acquisition. Mirrors [`crate::hle`], but on the
-//!   runtime's global lock.
+//!   or irrevocable actions (a syscall in the body) escalate: serialize.
+//! * `hle` — one more *elided* acquisition of the global lock, then
+//!   serialize.
+//!
+//! ## The two shared sequences
+//!
+//! Everything above, the hardware path of [`TmThread::critical_section`],
+//! [`TmThread::locked_section`] and [`TmThread::hle_section`] are built
+//! from two sequences that exist once each, parameterised by the lock word:
+//! [`TmThread::elide`] (begin a hardware transaction, *then* subscribe to
+//! the word, run the body, commit — the subscription order lazy
+//! subscription gets fatally wrong) and [`TmThread::serialize`] (take the
+//! word for real, run the body plainly, release with a snooping store).
 //!
 //! ## The shared lock word
 //!
-//! All backends arbitrate through the `TmLib`'s single global lock word so
+//! All flavours arbitrate through the `TmLib`'s single global lock word so
 //! that hardware elision ("lock free?" means "word == 0") keeps working
 //! unmodified: `0` is free, [`GATE_EXCLUSIVE`] marks an exclusive holder
 //! (serial fallback, [`crate::TmThread::locked_section`], irrevocable STM),
@@ -32,11 +43,11 @@
 
 use std::sync::Arc;
 
-use obs::Counter;
+use obs::{Counter, Subsystem};
 use txsim_htm::{AbortInfo, Addr, Ip, SimCpu, TxResult, XABORT_LOCK_HELD};
 use txsim_pmu::AbortClass;
-use txstm::cm::{make_cm, CmDecision, CmKind, ContentionManager};
-use txstm::{CommitFail, Tl2};
+use txstm::cm::CmDecision;
+use txstm::CommitFail;
 
 pub use txstm::GATE_EXCLUSIVE;
 
@@ -92,218 +103,139 @@ impl std::fmt::Display for FallbackKind {
     }
 }
 
-/// A fallback execution policy: how to complete a critical section once the
-/// hardware path has given up. Implementations must leave the global lock
-/// word at 0, record exactly one [`crate::Truth::fallback`] for the
-/// completion, and run `body` to completion (fallbacks cannot fail).
-pub trait FallbackBackend {
-    /// This backend's CLI-facing kind.
-    fn kind(&self) -> FallbackKind;
-
-    /// Complete one critical-section execution on the fallback path.
-    fn execute<T>(
-        &self,
-        tm: &mut TmThread,
+impl TmThread {
+    /// One elided attempt at `lock`: begin a hardware transaction, subscribe
+    /// to the lock word, run `body`, commit. The transactional read puts
+    /// the word in the read set, so a real acquirer's store aborts us; a
+    /// word already held cannot be elided at all.
+    pub(crate) fn elide<T, B>(
+        &mut self,
         cpu: &mut SimCpu,
         line: u32,
         lock: Addr,
-        site: Ip,
-        body: &mut dyn FnMut(&mut SimCpu) -> TxResult<T>,
-    ) -> T;
-}
-
-/// The dispatchable set of backends. `FallbackBackend::execute` is generic
-/// (not object-safe), so [`crate::TmLib`] holds this enum and matches.
-pub enum Backend {
-    /// See [`GlobalLock`].
-    Lock(GlobalLock),
-    /// See [`Tl2Stm`].
-    Stm(Tl2Stm),
-    /// See [`SingleGlobalLockElided`].
-    Hle(SingleGlobalLockElided),
-    /// See [`AdaptiveBackend`].
-    Adaptive(AdaptiveBackend),
-}
-
-impl Backend {
-    /// The backend's kind.
-    pub fn kind(&self) -> FallbackKind {
-        match self {
-            Backend::Lock(b) => b.kind(),
-            Backend::Stm(b) => b.kind(),
-            Backend::Hle(b) => b.kind(),
-            Backend::Adaptive(b) => b.kind(),
+        body: &mut B,
+    ) -> TxResult<T>
+    where
+        B: FnMut(&mut SimCpu) -> TxResult<T> + ?Sized,
+    {
+        cpu.xbegin(line)?;
+        self.state.set(IN_CS | IN_HTM);
+        if cpu.load(line, lock)? != 0 {
+            cpu.xabort(line, XABORT_LOCK_HELD)?;
         }
+        let v = body(cpu)?;
+        cpu.xend(line)?;
+        Ok(v)
     }
 
-    pub(crate) fn execute<T>(
-        &self,
-        tm: &mut TmThread,
+    /// Take `lock` for real — spin until the snooping CAS moves it from
+    /// free to `held`, dooming every speculator subscribed to the word —
+    /// run `body` plainly, release, and book one fallback completion of
+    /// `site`. The serial tail every flavour eventually reaches.
+    pub(crate) fn serialize<T>(
+        &mut self,
+        cpu: &mut SimCpu,
+        line: u32,
+        lock: Addr,
+        held: u64,
+        site: Ip,
+        body: &mut dyn FnMut(&mut SimCpu) -> TxResult<T>,
+    ) -> T {
+        self.state.set(IN_CS | IN_LOCK_WAITING);
+        txstm::lock_word(cpu, line, lock, held);
+        self.state.set(IN_CS | IN_FALLBACK);
+        let v = body(cpu).expect("fallback instructions cannot abort");
+        self.state.set(IN_CS | IN_OVERHEAD);
+        cpu.store_forced(line, lock, 0)
+            .expect("plain store cannot abort");
+        self.truth.fallback(site);
+        v
+    }
+
+    /// The slow path: complete the execution the way the library's
+    /// [`FallbackKind`] — or, under `adaptive`, this site's own evidence —
+    /// says.
+    pub(crate) fn run_fallback<T>(
+        &mut self,
         cpu: &mut SimCpu,
         line: u32,
         lock: Addr,
         site: Ip,
         body: &mut dyn FnMut(&mut SimCpu) -> TxResult<T>,
     ) -> T {
-        match self {
-            Backend::Lock(b) => b.execute(tm, cpu, line, lock, site, body),
-            Backend::Stm(b) => b.execute(tm, cpu, line, lock, site, body),
-            Backend::Hle(b) => b.execute(tm, cpu, line, lock, site, body),
-            Backend::Adaptive(b) => b.execute(tm, cpu, line, lock, site, body),
-        }
-    }
-}
-
-/// Acquire the global lock exclusively, run `body` plainly, release. The
-/// common serial tail every backend eventually reaches; also the whole of
-/// [`GlobalLock`] and the body of [`crate::TmThread::locked_section`].
-pub(crate) fn exclusive_section<T>(
-    tm: &mut TmThread,
-    cpu: &mut SimCpu,
-    line: u32,
-    lock: Addr,
-    site: Ip,
-    body: &mut dyn FnMut(&mut SimCpu) -> TxResult<T>,
-) -> T {
-    tm.state.set(IN_CS | IN_LOCK_WAITING);
-    loop {
-        // The snooping CAS dooms every speculator subscribed to the word.
-        match cpu
-            .cas(line, lock, 0, GATE_EXCLUSIVE)
-            .expect("plain CAS cannot abort")
-        {
-            Ok(_) => break,
-            Err(_) => cpu.spin(line).expect("spin outside tx cannot abort"),
-        }
-    }
-    tm.state.set(IN_CS | IN_FALLBACK);
-    let v = body(cpu).expect("fallback instructions cannot abort");
-    tm.state.set(IN_CS | IN_OVERHEAD);
-    cpu.store_forced(line, lock, 0)
-        .expect("plain store cannot abort");
-    tm.truth.fallback(site);
-    v
-}
-
-/// The classic fallback: serialize under the global lock.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct GlobalLock;
-
-impl FallbackBackend for GlobalLock {
-    fn kind(&self) -> FallbackKind {
-        FallbackKind::Lock
-    }
-
-    fn execute<T>(
-        &self,
-        tm: &mut TmThread,
-        cpu: &mut SimCpu,
-        line: u32,
-        lock: Addr,
-        site: Ip,
-        body: &mut dyn FnMut(&mut SimCpu) -> TxResult<T>,
-    ) -> T {
-        exclusive_section(tm, cpu, line, lock, site, body)
-    }
-}
-
-/// HLE-style fallback: one elided acquisition of the global lock (a
-/// hardware transaction subscribed to the word), then a real acquisition.
-/// Useful when the retry budget was exhausted by transient conflicts — the
-/// extra attempt often commits without serializing anyone.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SingleGlobalLockElided;
-
-impl FallbackBackend for SingleGlobalLockElided {
-    fn kind(&self) -> FallbackKind {
-        FallbackKind::Hle
-    }
-
-    fn execute<T>(
-        &self,
-        tm: &mut TmThread,
-        cpu: &mut SimCpu,
-        line: u32,
-        lock: Addr,
-        site: Ip,
-        body: &mut dyn FnMut(&mut SimCpu) -> TxResult<T>,
-    ) -> T {
-        // Elided attempt, exactly like `hle_section` but on the global
-        // lock word.
-        let attempt: TxResult<T> = (|| {
-            cpu.xbegin(line)?;
-            tm.state.set(IN_CS | IN_HTM);
-            if cpu.load(line, lock)? != 0 {
-                cpu.xabort(line, XABORT_LOCK_HELD)?;
+        obs::count(Counter::RtmFallbacks);
+        let _span = obs::span(Subsystem::Runtime, "fallback");
+        // Serial flavours complete in one software attempt; the STM
+        // overwrites this with its actual commit-attempt count.
+        self.fb_attempts = 1;
+        let adaptive = self.lib.fallback == FallbackKind::Adaptive;
+        let flavor = if adaptive {
+            let (flavor, switched) = self.sites.choose(site);
+            if switched {
+                obs::count(Counter::RtmBackendSwitches);
+                self.truth.backend_switch(site);
             }
-            let v = body(cpu)?;
-            cpu.xend(line)?;
-            Ok(v)
-        })();
+            flavor
+        } else {
+            self.lib.fallback
+        };
+        let v = match flavor {
+            FallbackKind::Lock => self.serialize(cpu, line, lock, GATE_EXCLUSIVE, site, body),
+            FallbackKind::Stm => self.fallback_stm(cpu, line, lock, site, body),
+            FallbackKind::Hle => self.fallback_hle(cpu, line, lock, site, body),
+            FallbackKind::Adaptive => unreachable!("per-site choice is always concrete"),
+        };
+        if adaptive {
+            self.sites.note_fallback(site, flavor);
+        }
+        v
+    }
+
+    /// HLE-style fallback: one more elided acquisition of the global lock,
+    /// then a real one. Useful when the retry budget was exhausted by
+    /// transient conflicts — the extra attempt often commits without
+    /// serializing anyone.
+    fn fallback_hle<T>(
+        &mut self,
+        cpu: &mut SimCpu,
+        line: u32,
+        lock: Addr,
+        site: Ip,
+        body: &mut dyn FnMut(&mut SimCpu) -> TxResult<T>,
+    ) -> T {
+        let attempt = self.elide(cpu, line, lock, body);
+        self.state.set(IN_CS | IN_OVERHEAD);
         match attempt {
             Ok(v) => {
-                tm.state.set(IN_CS | IN_OVERHEAD);
                 // Still a fallback-path completion for the checksum
                 // invariant, even though it committed speculatively.
-                tm.truth.fallback(site);
-                tm.truth.hle_commit(site);
+                self.truth.fallback(site);
+                self.truth.hle_commit(site);
                 v
             }
             Err(_) => {
-                tm.state.set(IN_CS | IN_OVERHEAD);
                 let info = cpu.last_abort().expect("abort must record status");
-                tm.record_abort(site, info);
-                exclusive_section(tm, cpu, line, lock, site, body)
+                self.record_abort(site, info);
+                self.serialize(cpu, line, lock, GATE_EXCLUSIVE, site, body)
             }
         }
     }
-}
 
-/// TL2 software-transaction fallback: fallbacks speculate in software and
-/// commit via versioned write-locks, so independent sections proceed
-/// concurrently instead of convoying on the global lock.
-pub struct Tl2Stm {
-    tl2: Tl2,
-    /// The contention manager consulted after every failed commit (and at
-    /// every software-transaction begin). See [`txstm::cm`].
-    cm: Arc<dyn ContentionManager>,
-}
-
-impl Tl2Stm {
-    /// Wrap a TL2 engine (gated on the runtime's global lock word) with
-    /// the default [`CmKind::Backoff`] contention manager.
-    pub fn new(tl2: Tl2) -> Tl2Stm {
-        Tl2Stm::with_cm(tl2, make_cm(CmKind::Backoff))
-    }
-
-    /// Same, with an explicit contention manager.
-    pub fn with_cm(tl2: Tl2, cm: Arc<dyn ContentionManager>) -> Tl2Stm {
-        Tl2Stm { tl2, cm }
-    }
-
-    /// The underlying engine (tests and diagnostics).
-    pub fn engine(&self) -> &Tl2 {
-        &self.tl2
-    }
-}
-
-impl FallbackBackend for Tl2Stm {
-    fn kind(&self) -> FallbackKind {
-        FallbackKind::Stm
-    }
-
-    fn execute<T>(
-        &self,
-        tm: &mut TmThread,
+    /// TL2 software-transaction fallback: fallbacks speculate in software
+    /// and commit via versioned write-locks, so independent sections
+    /// proceed concurrently instead of convoying on the global lock. The
+    /// STM's gate *is* the global lock word `lock`.
+    fn fallback_stm<T>(
+        &mut self,
         cpu: &mut SimCpu,
         line: u32,
-        _lock: Addr,
+        lock: Addr,
         site: Ip,
         body: &mut dyn FnMut(&mut SimCpu) -> TxResult<T>,
     ) -> T {
-        // The gate *is* the global lock word (`Tl2` holds its address).
-        let tl2 = &self.tl2;
-        tm.state.set(IN_CS | IN_LOCK_WAITING);
+        let lib = Arc::clone(&self.lib);
+        let tl2 = lib.tl2.as_ref().expect("stm-capable kinds build a TL2");
+        self.state.set(IN_CS | IN_LOCK_WAITING);
         tl2.gate_enter(cpu, line);
 
         let mut attempt = 0u32;
@@ -311,26 +243,26 @@ impl FallbackBackend for Tl2Stm {
             // Consult the contention manager before (re)opening the read
             // window: an outranked transaction spends its politeness window
             // here instead of racing a starving peer's validation.
-            if let Some(iv) = self.cm.on_begin(cpu, line, &mut tm.cm_tx) {
-                tm.cm_stats.note(site, CmEvent::from(iv));
+            if let Some(iv) = lib.cm.on_begin(cpu, line, &mut self.cm_tx) {
+                self.cm_stats.note(site, CmEvent::from(iv));
             }
             let rv = tl2.begin(cpu, line);
-            tm.state.set(IN_CS | IN_FALLBACK | IN_STM);
+            self.state.set(IN_CS | IN_FALLBACK | IN_STM);
             match body(cpu) {
                 Ok(v) => match tl2.commit(cpu, line, rv) {
                     Ok(()) => {
-                        tm.state.set(IN_CS | IN_OVERHEAD | IN_STM);
+                        self.state.set(IN_CS | IN_OVERHEAD | IN_STM);
                         cpu.stm_report_commit(line);
-                        tm.truth.fallback(site);
-                        tm.truth.stm_commit(site);
-                        tm.fb_attempts = attempt + 1;
+                        self.truth.fallback(site);
+                        self.truth.stm_commit(site);
+                        self.fb_attempts = attempt + 1;
                         tl2.gate_exit(cpu, line);
                         return v;
                     }
                     Err(abort) => {
-                        tm.state.set(IN_CS | IN_OVERHEAD | IN_STM);
+                        self.state.set(IN_CS | IN_OVERHEAD | IN_STM);
                         cpu.stm_report_abort(abort.ip, abort.weight);
-                        tm.record_abort(
+                        self.record_abort(
                             site,
                             AbortInfo::new(AbortClass::Validation, 0, abort.weight),
                         );
@@ -341,23 +273,23 @@ impl FallbackBackend for Tl2Stm {
                         let max = tl2.config().max_attempts;
                         let res = match abort.cause {
                             CommitFail::LockBusy => {
-                                self.cm
-                                    .on_lock_conflict(&mut tm.cm_tx, abort.work, attempt, max)
+                                lib.cm
+                                    .on_lock_conflict(&mut self.cm_tx, abort.work, attempt, max)
                             }
-                            CommitFail::Validation => self.cm.on_validation_failure(
-                                &mut tm.cm_tx,
+                            CommitFail::Validation => lib.cm.on_validation_failure(
+                                &mut self.cm_tx,
                                 abort.work,
                                 attempt,
                                 max,
                             ),
                         };
                         if res.priority_abort {
-                            tm.cm_stats.note(site, CmEvent::PriorityAbort);
+                            self.cm_stats.note(site, CmEvent::PriorityAbort);
                         }
                         match res.decision {
                             CmDecision::Backoff => tl2.backoff(cpu, line, attempt),
                             CmDecision::Stall { spins } => {
-                                tm.cm_stats.note(site, CmEvent::Stall);
+                                self.cm_stats.note(site, CmEvent::Stall);
                                 for _ in 0..spins {
                                     cpu.spin(line).expect("spin outside tx cannot abort");
                                 }
@@ -365,7 +297,7 @@ impl FallbackBackend for Tl2Stm {
                             CmDecision::Escalate => {
                                 // Forced commit: give up on optimism and
                                 // take the exclusive gate below.
-                                tm.cm_stats.note(site, CmEvent::Escalation);
+                                self.cm_stats.note(site, CmEvent::Escalation);
                                 break;
                             }
                         }
@@ -385,82 +317,10 @@ impl FallbackBackend for Tl2Stm {
         // Irrevocable escalation. Drop our own gate share *first*: two
         // escalating threads that both kept their shares would each wait
         // forever for the other's to drain.
-        tm.fb_attempts = attempt + 1;
+        self.fb_attempts = attempt + 1;
         tl2.gate_exit(cpu, line);
-        tm.state.set(IN_CS | IN_LOCK_WAITING);
         obs::count(Counter::RtmLockWaits);
-        tl2.gate_lock_exclusive(cpu, line);
-        tm.state.set(IN_CS | IN_FALLBACK);
-        let v = body(cpu).expect("fallback instructions cannot abort");
-        tm.state.set(IN_CS | IN_OVERHEAD);
-        tl2.gate_unlock_exclusive(cpu, line);
-        tm.truth.fallback(site);
-        v
-    }
-}
-
-/// Per-site dispatch driven by the profiler's own evidence: each site's
-/// abort-class / validation / fallback-rate EWMAs (kept thread-privately in
-/// [`crate::SiteTable`]) select which of the three concrete backends
-/// completes that site's fallbacks, with hysteresis so sites don't flap.
-/// The policy mapping is [`crate::AdaptivePolicy::classify`] — the same
-/// function the decision tree's `SwitchBackend` suggestion evaluates, so
-/// report advice and runtime behavior agree by construction.
-pub struct AdaptiveBackend {
-    lock: GlobalLock,
-    stm: Tl2Stm,
-    hle: SingleGlobalLockElided,
-}
-
-impl AdaptiveBackend {
-    /// Build the adaptive dispatcher over a TL2 engine (gated on the
-    /// runtime's global lock word, exactly like the static STM backend),
-    /// with the default [`CmKind::Backoff`] contention manager.
-    pub fn new(tl2: Tl2) -> AdaptiveBackend {
-        AdaptiveBackend::with_cm(tl2, make_cm(CmKind::Backoff))
-    }
-
-    /// Same, with an explicit contention manager for the STM flavor.
-    pub fn with_cm(tl2: Tl2, cm: Arc<dyn ContentionManager>) -> AdaptiveBackend {
-        AdaptiveBackend {
-            lock: GlobalLock,
-            stm: Tl2Stm::with_cm(tl2, cm),
-            hle: SingleGlobalLockElided,
-        }
-    }
-
-    /// The underlying TL2 engine (tests and diagnostics).
-    pub fn engine(&self) -> &Tl2 {
-        self.stm.engine()
-    }
-}
-
-impl FallbackBackend for AdaptiveBackend {
-    fn kind(&self) -> FallbackKind {
-        FallbackKind::Adaptive
-    }
-
-    fn execute<T>(
-        &self,
-        tm: &mut TmThread,
-        cpu: &mut SimCpu,
-        line: u32,
-        lock: Addr,
-        site: Ip,
-        body: &mut dyn FnMut(&mut SimCpu) -> TxResult<T>,
-    ) -> T {
-        let (flavor, switched) = tm.sites.choose(site);
-        if switched {
-            obs::count(Counter::RtmBackendSwitches);
-            tm.truth.backend_switch(site);
-        }
-        let v = match flavor {
-            FallbackKind::Lock => self.lock.execute(tm, cpu, line, lock, site, body),
-            FallbackKind::Stm => self.stm.execute(tm, cpu, line, lock, site, body),
-            FallbackKind::Hle => self.hle.execute(tm, cpu, line, lock, site, body),
-            FallbackKind::Adaptive => unreachable!("per-site choice is always concrete"),
-        };
-        tm.sites.note_fallback(site, flavor);
-        v
+        obs::count(Counter::StmIrrevocable);
+        self.serialize(cpu, line, lock, GATE_EXCLUSIVE, site, body)
     }
 }

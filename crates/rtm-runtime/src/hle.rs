@@ -10,14 +10,16 @@
 //!
 //! This module provides [`HleLock`] (a lock word in simulated memory, one
 //! per protected structure, unlike RTM's single global fallback lock) and
-//! [`hle_section`], which maintains the same profiler-facing state word as
-//! the RTM path so TxSampler's analyses apply unchanged.
+//! [`TmThread::hle_section`]: the runtime's two shared sequences
+//! ([`crate::backend`]) on that word — one `elide`, then on any abort
+//! `serialize` — so it maintains the same profiler-facing state word as the
+//! RTM path and TxSampler's analyses apply unchanged.
 
 use std::sync::Arc;
 
-use txsim_htm::{Addr, HtmDomain, Ip, SimCpu, TxResult, XABORT_LOCK_HELD};
+use txsim_htm::{Addr, HtmDomain, Ip, SimCpu, TxResult};
 
-use crate::state::{IN_CS, IN_FALLBACK, IN_HTM, IN_LOCK_WAITING, IN_OVERHEAD};
+use crate::state::{IN_CS, IN_OVERHEAD};
 use crate::TmThread;
 
 /// One elidable lock. HLE programs typically have many (per bucket, per
@@ -59,21 +61,7 @@ impl TmThread {
         let site = Ip::new(cpu.cur_ip().func, line);
         self.state.set(IN_CS | IN_OVERHEAD);
 
-        // Elided attempt.
-        let attempt: TxResult<T> = (|| {
-            cpu.xbegin(line)?;
-            self.state.set(IN_CS | IN_HTM);
-            // The elided XACQUIRE: read the lock word; if someone truly
-            // holds it, we cannot elide.
-            if cpu.load(line, lock.addr)? != 0 {
-                cpu.xabort(line, XABORT_LOCK_HELD)?;
-            }
-            let v = body(cpu)?;
-            cpu.xend(line)?; // the elided XRELEASE
-            Ok(v)
-        })();
-
-        let value = match attempt {
+        let value = match self.elide(cpu, line, lock.addr, &mut body) {
             Ok(v) => {
                 self.truth.commit(site);
                 v
@@ -82,19 +70,7 @@ impl TmThread {
                 let info = cpu.last_abort().expect("abort recorded");
                 self.truth.abort(site, info);
                 // Non-elided re-execution: really take the lock.
-                self.state.set(IN_CS | IN_LOCK_WAITING);
-                loop {
-                    match cpu.cas(line, lock.addr, 0, 1).expect("plain CAS") {
-                        Ok(_) => break,
-                        Err(_) => cpu.spin(line).expect("plain spin"),
-                    }
-                }
-                self.state.set(IN_CS | IN_FALLBACK);
-                let v = body(cpu).expect("non-transactional body cannot abort");
-                self.state.set(IN_CS | IN_OVERHEAD);
-                cpu.store_forced(line, lock.addr, 0).expect("plain store");
-                self.truth.fallback(site);
-                v
+                self.serialize(cpu, line, lock.addr, 1, site, &mut body)
             }
         };
         self.state.set(0);

@@ -51,10 +51,7 @@ use txsim_pmu::AbortClass;
 use txstm::cm::{make_cm, ContentionManager, TxCm};
 use txstm::Tl2;
 
-pub use backend::{
-    AdaptiveBackend, Backend, FallbackBackend, FallbackKind, GlobalLock, SingleGlobalLockElided,
-    Tl2Stm, GATE_EXCLUSIVE,
-};
+pub use backend::{FallbackKind, GATE_EXCLUSIVE};
 pub use cm_stats::{CmEvent, CmStats, CmTable, CM_SITE_CAPACITY};
 pub use hist::{Hist32, HistTable, SiteHists, HIST_BUCKETS, HIST_SITE_CAPACITY};
 pub use hle::HleLock;
@@ -80,83 +77,45 @@ pub struct TmLib {
     /// Transient aborts tolerated before taking the fallback path.
     /// The paper's evaluation uses 5.
     pub max_retries: u32,
-    /// The fallback execution policy (see [`backend`]).
-    backend: Backend,
-    /// The contention manager (see [`txstm::cm`]). Shared with the STM
-    /// backend; the section-begin and completion hooks run here so karma
-    /// earned on the fallback path is reset exactly once per section.
+    /// How fallbacks complete (see [`backend`]).
+    fallback: FallbackKind,
+    /// The contention manager (see [`txstm::cm`]). Consulted by the STM
+    /// flavour too; the section-begin and completion hooks run here so
+    /// karma earned on the fallback path is reset exactly once per section.
     cm: Arc<dyn ContentionManager>,
+    /// The TL2 engine, gated on the lock word; built for the kinds that
+    /// can run software transactions (`stm`, `adaptive`).
+    tl2: Option<Tl2>,
 }
 
 impl TmLib {
-    /// Create the library for a domain, allocating the global lock word on
-    /// its own cache line (the lock must not false-share with user data —
-    /// every transaction reads it). Uses the default [`GlobalLock`]
-    /// fallback backend.
+    /// Create the library for a domain with the paper's setup: a retry
+    /// budget of 5 and the `lock` fallback.
     pub fn new(domain: &Arc<HtmDomain>) -> Arc<TmLib> {
-        TmLib::with_retries(domain, 5)
+        TmLib::with_cm(domain, 5, FallbackKind::Lock, CmKind::Backoff)
     }
 
-    /// Same, with a custom retry budget.
-    pub fn with_retries(domain: &Arc<HtmDomain>, max_retries: u32) -> Arc<TmLib> {
-        TmLib::with_config(domain, max_retries, FallbackKind::Lock)
-    }
-
-    /// Same, selecting the fallback backend (default retry budget).
-    pub fn with_backend(domain: &Arc<HtmDomain>, kind: FallbackKind) -> Arc<TmLib> {
-        TmLib::with_config(domain, 5, kind)
-    }
-
-    /// Same as [`TmLib::with_config`], selecting the contention manager
-    /// too (default retry budget).
-    pub fn with_backend_and_cm(
-        domain: &Arc<HtmDomain>,
-        kind: FallbackKind,
-        cm: CmKind,
-    ) -> Arc<TmLib> {
-        TmLib::with_cm(domain, 5, kind, cm)
-    }
-
-    /// Fully explicit construction: retry budget and fallback backend,
-    /// with the default [`CmKind::Backoff`] contention manager.
-    pub fn with_config(
-        domain: &Arc<HtmDomain>,
-        max_retries: u32,
-        kind: FallbackKind,
-    ) -> Arc<TmLib> {
-        TmLib::with_cm(domain, max_retries, kind, CmKind::Backoff)
-    }
-
-    /// Fully explicit construction: retry budget, fallback backend, and
-    /// contention manager. The CM only influences software transactions,
-    /// so it is threaded into the STM-capable backends; under `lock`/`hle`
-    /// fallbacks it never intervenes (no karma is ever earned).
+    /// Fully explicit construction: retry budget, fallback kind, and
+    /// contention manager. Allocates the global lock word on its own cache
+    /// line (the lock must not false-share with user data — every
+    /// transaction reads it). The CM only influences software
+    /// transactions: under `lock`/`hle` fallbacks it never intervenes (no
+    /// karma is ever earned).
     pub fn with_cm(
         domain: &Arc<HtmDomain>,
         max_retries: u32,
         kind: FallbackKind,
         cm_kind: CmKind,
     ) -> Arc<TmLib> {
-        let cm = make_cm(cm_kind);
         let lock_addr = domain.heap.alloc_padded(8, domain.geometry.line_bytes);
-        let backend = match kind {
-            FallbackKind::Lock => Backend::Lock(GlobalLock),
-            FallbackKind::Stm => Backend::Stm(Tl2Stm::with_cm(
-                Tl2::new(domain, lock_addr),
-                Arc::clone(&cm),
-            )),
-            FallbackKind::Hle => Backend::Hle(SingleGlobalLockElided),
-            FallbackKind::Adaptive => Backend::Adaptive(AdaptiveBackend::with_cm(
-                Tl2::new(domain, lock_addr),
-                Arc::clone(&cm),
-            )),
-        };
+        let runs_stm = matches!(kind, FallbackKind::Stm | FallbackKind::Adaptive);
         Arc::new(TmLib {
             lock_addr,
             f_tm_end: domain.funcs.intern("TM_END", "rtm_runtime.rs", 1),
             max_retries,
-            backend,
-            cm,
+            fallback: kind,
+            cm: make_cm(cm_kind),
+            tl2: runs_stm.then(|| Tl2::new(domain, lock_addr)),
         })
     }
 
@@ -165,9 +124,9 @@ impl TmLib {
         self.lock_addr
     }
 
-    /// The configured fallback backend's kind.
+    /// The configured fallback kind.
     pub fn fallback_kind(&self) -> FallbackKind {
-        self.backend.kind()
+        self.fallback
     }
 
     /// The configured contention manager's kind.
@@ -180,8 +139,8 @@ impl TmLib {
     /// static libraries hand out the zero-capacity detached table, so the
     /// per-site machinery costs one branch per hook.
     pub fn thread(self: &Arc<Self>) -> TmThread {
-        let sites = match self.backend {
-            Backend::Adaptive(_) => SiteTable::new(AdaptivePolicy::DEFAULT, self.max_retries),
+        let sites = match self.fallback {
+            FallbackKind::Adaptive => SiteTable::new(AdaptivePolicy::DEFAULT, self.max_retries),
             _ => SiteTable::detached(),
         };
         TmThread {
@@ -331,8 +290,8 @@ impl TmThread {
 
             self.state.set(IN_CS | IN_OVERHEAD);
             attempts += 1;
-            let attempt = self.attempt_htm(cpu, line, lock, &mut body);
-            match attempt {
+            obs::count(Counter::RtmHtmAttempts);
+            match self.elide(cpu, line, lock, &mut body) {
                 Ok(v) => {
                     self.state.set(IN_CS | IN_OVERHEAD);
                     // TM_END cleanup runs in (and returns through) the
@@ -417,7 +376,7 @@ impl TmThread {
         self.state.set(IN_CS | IN_OVERHEAD);
         obs::count(Counter::RtmFallbacks);
         let _span = obs::span(Subsystem::Runtime, "fallback");
-        let v = backend::exclusive_section(self, cpu, line, lock, site, &mut body);
+        let v = self.serialize(cpu, line, lock, GATE_EXCLUSIVE, site, &mut body);
         self.state.set(0);
         v
     }
@@ -435,53 +394,12 @@ impl TmThread {
         }
     }
 
-    /// One hardware-transaction attempt: `xbegin`, the elision read of the
-    /// lock word, the user body, `xend`.
-    fn attempt_htm<T>(
-        &mut self,
-        cpu: &mut SimCpu,
-        line: u32,
-        lock: Addr,
-        body: &mut impl FnMut(&mut SimCpu) -> TxResult<T>,
-    ) -> TxResult<T> {
-        obs::count(Counter::RtmHtmAttempts);
-        cpu.xbegin(line)?;
-        self.state.set(IN_CS | IN_HTM);
-        // Lock elision: the transactional read subscribes the lock word to
-        // the read set; a fallback acquirer's store will abort us.
-        if cpu.load(line, lock)? != 0 {
-            cpu.xabort(line, XABORT_LOCK_HELD)?;
-        }
-        let v = body(cpu)?;
-        cpu.xend(line)?;
-        Ok(v)
-    }
-
     /// The single abort-recording path: exact truth plus (when adaptive)
     /// the per-site EWMAs. Thread-private on both sides — no allocation
     /// beyond truth's own map, no shared cache line is written.
     pub(crate) fn record_abort(&mut self, site: Ip, info: AbortInfo) {
         self.truth.abort(site, info);
         self.sites.note_abort(site, info.class);
-    }
-
-    /// The slow path: complete the execution via the configured fallback
-    /// backend (serial lock, TL2 software transaction, or elided lock).
-    fn run_fallback<T>(
-        &mut self,
-        cpu: &mut SimCpu,
-        line: u32,
-        lock: Addr,
-        site: Ip,
-        body: &mut impl FnMut(&mut SimCpu) -> TxResult<T>,
-    ) -> T {
-        obs::count(Counter::RtmFallbacks);
-        let _span = obs::span(Subsystem::Runtime, "fallback");
-        // Serial backends complete in one software attempt; the STM
-        // overwrites this with its actual commit-attempt count.
-        self.fb_attempts = 1;
-        let lib = Arc::clone(&self.lib);
-        lib.backend.execute(self, cpu, line, lock, site, body)
     }
 }
 

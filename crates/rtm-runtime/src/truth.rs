@@ -10,35 +10,36 @@ use std::collections::HashMap;
 
 use txsim_htm::{AbortClass, AbortInfo, Ip};
 
-/// Exact counters for one critical-section site.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SiteTruth {
-    /// Successful HTM-path executions.
-    pub htm_commits: u64,
-    /// Executions that ended up on the fallback path.
-    pub fallbacks: u64,
-    /// Fallback executions that committed as *software* transactions
-    /// (subset of `fallbacks`; the rest ran serially under the lock).
-    pub stm_commits: u64,
-    /// Fallback executions that committed via the *elided* lock (HLE
-    /// flavor; subset of `fallbacks`, disjoint from `stm_commits`).
-    pub hle_commits: u64,
-    /// Times the adaptive policy switched this site's fallback backend.
-    pub backend_switches: u64,
-    /// Conflict aborts.
-    pub aborts_conflict: u64,
-    /// Capacity aborts.
-    pub aborts_capacity: u64,
-    /// Synchronous aborts.
-    pub aborts_sync: u64,
-    /// Explicit aborts (including lock-held elision aborts).
-    pub aborts_explicit: u64,
-    /// Profiler-interrupt-induced aborts.
-    pub aborts_interrupt: u64,
-    /// Software-transaction commit-time validation failures (STM backend).
-    pub aborts_validation: u64,
-    /// Total cycles wasted in aborted attempts.
-    pub abort_weight: u64,
+crate::counter_fields! {
+    /// Exact counters for one critical-section site.
+    pub struct SiteTruth {
+        /// Successful HTM-path executions.
+        pub htm_commits,
+        /// Executions that ended up on the fallback path.
+        pub fallbacks,
+        /// Fallback executions that committed as *software* transactions
+        /// (subset of `fallbacks`; the rest ran serially under the lock).
+        pub stm_commits,
+        /// Fallback executions that committed via the *elided* lock (HLE
+        /// flavor; subset of `fallbacks`, disjoint from `stm_commits`).
+        pub hle_commits,
+        /// Times the adaptive policy switched this site's fallback backend.
+        pub backend_switches,
+        /// Conflict aborts.
+        pub aborts_conflict,
+        /// Capacity aborts.
+        pub aborts_capacity,
+        /// Synchronous aborts.
+        pub aborts_sync,
+        /// Explicit aborts (including lock-held elision aborts).
+        pub aborts_explicit,
+        /// Profiler-interrupt-induced aborts.
+        pub aborts_interrupt,
+        /// Software-transaction commit-time validation failures (STM backend).
+        pub aborts_validation,
+        /// Total cycles wasted in aborted attempts.
+        pub abort_weight,
+    }
 }
 
 impl SiteTruth {
@@ -90,22 +91,6 @@ impl SiteTruth {
         self.fallbacks
             .saturating_sub(self.stm_commits)
             .saturating_sub(self.hle_commits)
-    }
-
-    /// Merge another site's counters into this one.
-    pub fn merge(&mut self, other: &SiteTruth) {
-        self.htm_commits += other.htm_commits;
-        self.fallbacks += other.fallbacks;
-        self.stm_commits += other.stm_commits;
-        self.hle_commits += other.hle_commits;
-        self.backend_switches += other.backend_switches;
-        self.aborts_conflict += other.aborts_conflict;
-        self.aborts_capacity += other.aborts_capacity;
-        self.aborts_sync += other.aborts_sync;
-        self.aborts_explicit += other.aborts_explicit;
-        self.aborts_interrupt += other.aborts_interrupt;
-        self.aborts_validation += other.aborts_validation;
-        self.abort_weight += other.abort_weight;
     }
 }
 
@@ -227,6 +212,16 @@ mod tests {
         assert_eq!(a.site(site(1)).htm_commits, 2);
         assert_eq!(a.site(site(2)).htm_commits, 1);
         assert_eq!(a.totals().htm_commits, 3);
+    }
+
+    #[test]
+    fn site_merge_sums_every_field() {
+        // Every field distinct and non-zero, so a field the merge forgot
+        // or summed into a neighbour shows.
+        let fields: [u64; SiteTruth::ARITY] = std::array::from_fn(|i| i as u64 + 1);
+        let mut sum = SiteTruth::from_fields(fields);
+        sum.merge(&SiteTruth::from_fields(fields));
+        assert_eq!(sum.to_fields(), fields.map(|v| 2 * v));
     }
 
     #[test]

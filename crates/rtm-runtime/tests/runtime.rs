@@ -263,7 +263,7 @@ fn backend_parity_single_thread() {
     // sections (which are forced onto the fallback path).
     let run = |kind: FallbackKind| {
         let d = HtmDomain::new(DomainConfig::default().with_geometry(CacheGeometry::tiny()));
-        let lib = TmLib::with_config(&d, 5, kind);
+        let lib = TmLib::with_cm(&d, 5, kind, rtm_runtime::CmKind::Backoff);
         let g = d.geometry;
         let counter = d.heap.alloc_words(1);
         let region = d.heap.alloc_aligned(g.line_bytes * 64, g.line_bytes);
@@ -330,7 +330,12 @@ fn stm_backend_keeps_contended_counter_exact() {
     // validation, publish — the whole TL2 pipeline under fire. The counter
     // staying exact is the proof the gate and publish protocol hold up.
     let d = HtmDomain::new(DomainConfig::default().cooperative());
-    let lib = TmLib::with_config(&d, 0, rtm_runtime::FallbackKind::Stm);
+    let lib = TmLib::with_cm(
+        &d,
+        0,
+        rtm_runtime::FallbackKind::Stm,
+        rtm_runtime::CmKind::Backoff,
+    );
     let counter = d.heap.alloc_words(1);
     const THREADS: usize = 6;
     const ITERS: u64 = 1_000;
@@ -379,7 +384,12 @@ fn stm_backend_keeps_contended_counter_exact() {
 #[test]
 fn hle_backend_keeps_contended_counter_exact() {
     let d = HtmDomain::new(DomainConfig::default().cooperative());
-    let lib = TmLib::with_config(&d, 0, rtm_runtime::FallbackKind::Hle);
+    let lib = TmLib::with_cm(
+        &d,
+        0,
+        rtm_runtime::FallbackKind::Hle,
+        rtm_runtime::CmKind::Backoff,
+    );
     let counter = d.heap.alloc_words(1);
     const THREADS: usize = 4;
     const ITERS: u64 = 1_000;

@@ -1,10 +1,18 @@
 //! The per-thread simulated CPU.
+//!
+//! A CPU speculates in at most one way at a time — not at all, as a
+//! hardware transaction, or as the STM fallback's software transaction —
+//! and keeps what it has speculatively touched in one [`Footprint`] it owns
+//! for its whole life. Every memory instruction dispatches on the
+//! footprint's mode; whether a hardware footprint still fits is
+//! [`txsim_mem::CacheGeometry::admits`]'s call, not this file's.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use obs::Counter;
-use txsim_mem::{Addr, LineId};
+use txsim_mem::{Addr, LineId, LineUse};
 use txsim_pmu::{
     now_tsc, AbortClass, BranchKind, EventKind, Frame, FuncId, Ip, LbrEntry, PmuThread, Sample,
     SampleSink, SamplingConfig,
@@ -63,6 +71,38 @@ impl CpuStats {
         self.total_aborts() - self.aborts_interrupt
     }
 
+    /// Add another CPU's counts into this one. The destructuring is
+    /// exhaustive on purpose: a counter added to the struct does not
+    /// compile until it is summed here.
+    pub fn merge(&mut self, o: &CpuStats) {
+        let CpuStats {
+            tx_begins,
+            commits,
+            aborts_conflict,
+            aborts_capacity,
+            aborts_sync,
+            aborts_explicit,
+            aborts_interrupt,
+            stm_commits,
+            aborts_validation,
+            wasted_cycles,
+            parks_in_tx,
+            parks,
+        } = self;
+        *tx_begins += o.tx_begins;
+        *commits += o.commits;
+        *aborts_conflict += o.aborts_conflict;
+        *aborts_capacity += o.aborts_capacity;
+        *aborts_sync += o.aborts_sync;
+        *aborts_explicit += o.aborts_explicit;
+        *aborts_interrupt += o.aborts_interrupt;
+        *stm_commits += o.stm_commits;
+        *aborts_validation += o.aborts_validation;
+        *wasted_cycles += o.wasted_cycles;
+        *parks_in_tx += o.parks_in_tx;
+        *parks += o.parks;
+    }
+
     fn record_abort(&mut self, class: AbortClass, weight: u64) {
         match class {
             AbortClass::Conflict => self.aborts_conflict += 1,
@@ -76,54 +116,132 @@ impl CpuStats {
     }
 }
 
-/// Speculative state of an open transaction.
-struct TxState {
-    /// Lines in the transactional read set.
-    read_lines: HashSet<u64>,
-    /// Lines in the transactional write set.
-    write_lines: HashSet<u64>,
-    /// Buffered speculative stores (addr → value).
-    wbuf: HashMap<Addr, u64>,
-    /// Write lines per cache set, for associativity-overflow capacity aborts.
-    set_ways: HashMap<u32, u32>,
-    /// Clock at `xbegin` (abort weight = now − this).
+/// How a CPU is speculating, if at all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// Not speculating: accesses hit memory directly.
+    Plain,
+    /// Inside a hardware transaction: lines are claimed in the conflict
+    /// directory, the footprint is bounded by the cache geometry, and a
+    /// sampling interrupt aborts.
+    Htm,
+    /// Inside software speculation (the STM fallback): nothing is claimed in
+    /// the directory and nothing bounds the footprint; reads go through as
+    /// plain loads (recording the line), writes are buffered until the
+    /// STM's commit protocol publishes them, and interrupts do not abort.
+    Stm,
+}
+
+/// What the open (or most recent) speculation has touched. Owned by the
+/// CPU for its whole life and cleared, not rebuilt, when speculation
+/// begins, so a steady-state transaction allocates nothing here. The line
+/// lists and the write buffer are plain vectors — what commit and abort
+/// hand to the directory and to TL2 as slices — each with a hash index
+/// beside it for membership.
+struct Footprint {
+    mode: Mode,
+    /// Read (bit 0) / write (bit 1) membership of every tracked line.
+    tracked: HashMap<LineId, u8>,
+    /// Lines in the read set, in first-touch order.
+    read_lines: Vec<LineId>,
+    /// Lines in the write set, in first-touch order.
+    write_lines: Vec<LineId>,
+    /// Buffered speculative stores, in first-store order.
+    writes: Vec<(Addr, u64)>,
+    /// Where in `writes` each buffered address sits.
+    write_slot: HashMap<Addr, usize>,
+    /// Write lines per cache set (indexed by set id), for the geometry's
+    /// associativity bound. Only hardware transactions fill it.
+    set_fill: Vec<u32>,
+    /// Clock at begin (abort weight = now − this).
     begin_clock: u64,
-    /// Shadow-stack depth at `xbegin`; rollback truncates to it.
+    /// Shadow-stack depth at begin; rollback truncates to it.
     begin_depth: usize,
-    /// The `xbegin` IP — where control lands after an abort.
+    /// The begin IP — where control lands after an abort, and where abort
+    /// samples are attributed.
     begin_ip: Ip,
 }
 
-/// Software-speculation state (the STM fallback's read/write tracking).
-///
-/// Unlike [`TxState`] this claims nothing in the conflict directory and has
-/// no capacity limits: reads go through as plain loads (recording the line),
-/// writes are buffered and invisible until the STM's commit protocol
-/// publishes them. Interrupts do not abort software speculation.
-struct SwTx {
-    /// Lines read (raw [`LineId`] values), for commit-time validation.
-    read_lines: HashSet<u64>,
-    /// Lines written, for commit-time lock acquisition.
-    write_lines: HashSet<u64>,
-    /// Buffered speculative stores (addr → value).
-    wbuf: HashMap<Addr, u64>,
-    /// Clock at `stm_begin` (abort weight = now − this).
-    begin_clock: u64,
-    /// Shadow-stack depth at `stm_begin`; an STM restart truncates to it.
-    begin_depth: usize,
-    /// The `stm_begin` IP — abort samples are attributed here, like HTM's
-    /// `xbegin` IP.
-    begin_ip: Ip,
+impl Footprint {
+    fn new(sets: u32) -> Self {
+        Footprint {
+            mode: Mode::Plain,
+            tracked: HashMap::new(),
+            read_lines: Vec::new(),
+            write_lines: Vec::new(),
+            writes: Vec::new(),
+            write_slot: HashMap::new(),
+            set_fill: vec![0; sets as usize],
+            begin_clock: 0,
+            begin_depth: 0,
+            begin_ip: Ip::UNKNOWN,
+        }
+    }
+
+    /// Begin speculating in `mode` with an empty footprint.
+    fn open(&mut self, mode: Mode, clock: u64, depth: usize, ip: Ip) {
+        self.mode = mode;
+        self.tracked.clear();
+        self.read_lines.clear();
+        self.write_lines.clear();
+        self.writes.clear();
+        self.write_slot.clear();
+        self.set_fill.fill(0);
+        self.begin_clock = clock;
+        self.begin_depth = depth;
+        self.begin_ip = ip;
+    }
+
+    fn bit(usage: LineUse) -> u8 {
+        match usage {
+            LineUse::Read => 1,
+            LineUse::Write => 2,
+        }
+    }
+
+    fn tracks(&self, line: LineId, usage: LineUse) -> bool {
+        self.tracked
+            .get(&line)
+            .is_some_and(|bits| bits & Self::bit(usage) != 0)
+    }
+
+    /// Add `line` to the read or write set; a no-op if it is there.
+    fn track(&mut self, line: LineId, usage: LineUse) {
+        let bits = self.tracked.entry(line).or_insert(0);
+        if *bits & Self::bit(usage) != 0 {
+            return;
+        }
+        *bits |= Self::bit(usage);
+        match usage {
+            LineUse::Read => self.read_lines.push(line),
+            LineUse::Write => self.write_lines.push(line),
+        }
+    }
+
+    /// The buffered value of `addr`, if this speculation stored to it.
+    fn buffered(&self, addr: Addr) -> Option<u64> {
+        self.write_slot.get(&addr).map(|&slot| self.writes[slot].1)
+    }
+
+    fn buffer(&mut self, addr: Addr, value: u64) {
+        match self.write_slot.entry(addr) {
+            Entry::Occupied(slot) => self.writes[*slot.get()].1 = value,
+            Entry::Vacant(slot) => {
+                slot.insert(self.writes.len());
+                self.writes.push((addr, value));
+            }
+        }
+    }
 }
 
-/// The speculative footprint handed to the STM's commit protocol by
+/// The speculative footprint lent to the STM's commit protocol by
 /// [`SimCpu::stm_take`]: everything TL2 needs to lock, validate and publish,
 /// plus the attribution info for a failure.
 pub struct StmTaken {
-    /// Lines read (raw `LineId` values), sorted.
-    pub read_lines: Vec<u64>,
-    /// Lines written (raw `LineId` values), sorted.
-    pub write_lines: Vec<u64>,
+    /// Lines read, sorted.
+    pub read_lines: Vec<LineId>,
+    /// Lines written, sorted.
+    pub write_lines: Vec<LineId>,
     /// Buffered stores to publish on success, sorted by address.
     pub writes: Vec<(Addr, u64)>,
     /// Where the software transaction began (abort attribution).
@@ -147,14 +265,16 @@ pub struct SimCpu {
     cur_line: u32,
     pmu: PmuThread,
     sink: Option<Box<dyn SampleSink>>,
-    tx: Option<TxState>,
-    sw: Option<SwTx>,
+    /// The LBR snapshot buffer every delivered sample reuses.
+    lbr_scratch: Vec<LbrEntry>,
+    spec: Footprint,
     last_abort: Option<AbortInfo>,
     stats: CpuStats,
 }
 
 impl SimCpu {
     pub(crate) fn new(domain: Arc<HtmDomain>, tid: usize, sampling: SamplingConfig) -> Self {
+        let spec = Footprint::new(domain.geometry.sets);
         SimCpu {
             domain,
             tid,
@@ -166,8 +286,8 @@ impl SimCpu {
             cur_line: 0,
             pmu: PmuThread::new(sampling, tid),
             sink: None,
-            tx: None,
-            sw: None,
+            lbr_scratch: Vec::new(),
+            spec,
             last_abort: None,
             stats: CpuStats::default(),
         }
@@ -192,13 +312,13 @@ impl SimCpu {
     /// Whether a transaction is open.
     #[inline]
     pub fn in_tx(&self) -> bool {
-        self.tx.is_some()
+        self.spec.mode == Mode::Htm
     }
 
     /// Whether a *software* transaction (STM fallback speculation) is open.
     #[inline]
     pub fn stm_active(&self) -> bool {
-        self.sw.is_some()
+        self.spec.mode == Mode::Stm
     }
 
     /// The machine this CPU belongs to.
@@ -280,7 +400,7 @@ impl SimCpu {
     /// interrupt. The only source of `Err` is an in-transaction abort.
     #[inline]
     fn tick(&mut self, cycles: u64) -> TxResult<()> {
-        if self.tx.is_some() && self.domain.directory.doomed(self.tid) != 0 {
+        if self.in_tx() && self.domain.directory.doomed(self.tid) != 0 {
             return self.abort_err(AbortClass::Conflict, 0);
         }
         self.clock += cycles;
@@ -293,11 +413,11 @@ impl SimCpu {
             // transactional claims that op holds — rather than on the
             // instruction after it.
             self.stats.parks += 1;
-            if self.tx.is_some() {
+            if self.in_tx() {
                 self.stats.parks_in_tx += 1;
             }
             self.allowed_until = self.domain.scheduler.sync(self.tid, self.clock);
-            if self.tx.is_some() && self.domain.directory.doomed(self.tid) != 0 {
+            if self.in_tx() && self.domain.directory.doomed(self.tid) != 0 {
                 // Doomed while parked: abort before doing anything else.
                 return self.abort_err(AbortClass::Conflict, 0);
             }
@@ -313,7 +433,7 @@ impl SimCpu {
     /// whose LBR tail carries the abort bit — the paper's Challenge I.
     fn interrupt(&mut self, event: EventKind, addr: Option<Addr>) -> TxResult<()> {
         let precise_ip = self.cur_ip();
-        let was_in_tx = self.tx.is_some();
+        let was_in_tx = self.in_tx();
         if was_in_tx {
             self.abort_rollback(AbortClass::Interrupt, 0);
         }
@@ -350,10 +470,13 @@ impl SimCpu {
             stack,
             pmu,
             tid,
+            lbr_scratch,
             ..
         } = self;
         if let Some(sink) = sink {
             obs::count(Counter::SamplesTaken);
+            let mut lbr = std::mem::take(lbr_scratch);
+            pmu.lbr().snapshot_into(&mut lbr);
             let sample = Sample {
                 event,
                 ip,
@@ -364,9 +487,10 @@ impl SimCpu {
                 weight,
                 abort_class,
                 tsc: now_tsc(),
-                lbr: pmu.lbr().snapshot(),
+                lbr,
             };
             sink.on_sample(&sample, stack);
+            *lbr_scratch = sample.lbr;
         }
     }
 
@@ -378,29 +502,27 @@ impl SimCpu {
     /// roll the stack and IP back to `xbegin`, record the LBR abort branch,
     /// count the PMU abort event (possibly sampling it).
     fn abort_rollback(&mut self, class: AbortClass, code: u8) {
-        let tx = self
-            .tx
-            .take()
-            .expect("abort_rollback outside a transaction");
-        let weight = self.clock - tx.begin_clock;
+        assert!(self.in_tx(), "abort_rollback outside a transaction");
         let abort_from = self.cur_ip();
+        let tx = &mut self.spec;
+        tx.mode = Mode::Plain;
+        let begin_ip = tx.begin_ip;
+        let weight = self.clock - tx.begin_clock;
 
-        let read: Vec<LineId> = tx.read_lines.iter().map(|&l| LineId(l)).collect();
-        let write: Vec<LineId> = tx.write_lines.iter().map(|&l| LineId(l)).collect();
         self.domain
             .directory
-            .release_aborted(self.tid, &read, &write);
+            .release_aborted(self.tid, &tx.read_lines, &tx.write_lines);
         self.domain.directory.tx_finished();
 
         // Roll back the architectural state: stack depth and IP return to
         // the xbegin point. This is why a profiler's signal handler cannot
         // see in-transaction frames (paper §3.4).
-        self.stack.truncate(tx.begin_depth);
-        self.cur_line = tx.begin_ip.line;
+        self.stack.truncate(self.spec.begin_depth);
+        self.cur_line = begin_ip.line;
 
         self.pmu.record_branch(LbrEntry {
             from: abort_from,
-            to: tx.begin_ip,
+            to: begin_ip,
             kind: BranchKind::TxAbort,
             in_tsx: false,
             abort: true,
@@ -423,7 +545,7 @@ impl SimCpu {
         if self.pmu.advance(EventKind::TxAbort, 1) {
             self.deliver_sample(
                 EventKind::TxAbort,
-                tx.begin_ip,
+                begin_ip,
                 false,
                 false,
                 None,
@@ -432,7 +554,7 @@ impl SimCpu {
             );
         }
         if cycles_overflow {
-            self.deliver_sample(EventKind::Cycles, tx.begin_ip, false, false, None, 0, None);
+            self.deliver_sample(EventKind::Cycles, begin_ip, false, false, None, 0, None);
         }
     }
 
@@ -446,26 +568,25 @@ impl SimCpu {
     // RTM instructions
     // ------------------------------------------------------------------
 
-    /// Start a hardware transaction. Panics if one is already open
-    /// (TSX flattens nests; the runtime above never creates them).
-    pub fn xbegin(&mut self, line: u32) -> TxResult<()> {
-        assert!(self.tx.is_none(), "nested transactions are not supported");
+    /// Begin speculating in `mode` at source `line`. Panics if speculation
+    /// of either kind is already open (TSX flattens nests; the runtime
+    /// above never creates them, nor mixes the two kinds).
+    fn begin(&mut self, mode: Mode, line: u32) -> TxResult<()> {
         assert!(
-            self.sw.is_none(),
-            "hardware transaction inside software speculation"
+            self.spec.mode == Mode::Plain,
+            "nested speculation is not supported"
         );
         self.cur_line = line;
         self.tick(self.domain.costs.xbegin)?; // charged before speculation begins
+        let ip = self.cur_ip();
+        self.spec.open(mode, self.clock, self.stack.len(), ip);
+        Ok(())
+    }
+
+    /// Start a hardware transaction. Panics if one is already open.
+    pub fn xbegin(&mut self, line: u32) -> TxResult<()> {
+        self.begin(Mode::Htm, line)?;
         self.domain.directory.tx_started();
-        self.tx = Some(TxState {
-            read_lines: HashSet::new(),
-            write_lines: HashSet::new(),
-            wbuf: HashMap::new(),
-            set_ways: HashMap::new(),
-            begin_clock: self.clock,
-            begin_depth: self.stack.len(),
-            begin_ip: Ip::new(self.stack.last().map_or(FuncId::UNKNOWN, |f| f.func), line),
-        });
         self.stats.tx_begins += 1;
         obs::count(Counter::TxBegins);
         Ok(())
@@ -474,7 +595,7 @@ impl SimCpu {
     /// Commit the open transaction. On a conflict discovered at commit time
     /// the transaction aborts like any other conflict.
     pub fn xend(&mut self, line: u32) -> TxResult<()> {
-        assert!(self.tx.is_some(), "xend without xbegin");
+        assert!(self.in_tx(), "xend without xbegin");
         self.cur_line = line;
         // The commit sequence costs cycles *while the transaction is still
         // open and abortable* — on real TSX a conflicting snoop or a PMI
@@ -485,27 +606,25 @@ impl SimCpu {
         if self.domain.directory.doomed(self.tid) != 0 {
             return self.abort_err(AbortClass::Conflict, 0);
         }
-        let mut write_lines: Vec<LineId> = {
-            let tx = self.tx.as_ref().unwrap();
-            tx.write_lines.iter().map(|&l| LineId(l)).collect()
-        };
+        // Sorts the write lines in place: publish ownership is acquired in
+        // one global order.
         if !self
             .domain
             .directory
-            .begin_commit(self.tid, &mut write_lines)
+            .begin_commit(self.tid, &mut self.spec.write_lines)
         {
             return self.abort_err(AbortClass::Conflict, 0);
         }
         // Publish the write buffer; conflicting accesses self-abort until
         // end_commit because every write line is flagged as committing.
-        let tx = self.tx.take().unwrap();
-        for (&addr, &val) in &tx.wbuf {
+        let tx = &mut self.spec;
+        tx.mode = Mode::Plain;
+        for &(addr, val) in &tx.writes {
             self.domain.mem.store(addr, val);
         }
-        let read_lines: Vec<LineId> = tx.read_lines.iter().map(|&l| LineId(l)).collect();
         self.domain
             .directory
-            .end_commit(self.tid, &read_lines, &write_lines);
+            .end_commit(self.tid, &tx.read_lines, &tx.write_lines);
         self.domain.directory.tx_finished();
         self.stats.commits += 1;
         obs::count(Counter::TxCommits);
@@ -520,7 +639,7 @@ impl SimCpu {
     /// (`xabort` instruction). No-op outside a transaction, like TSX.
     pub fn xabort(&mut self, line: u32, code: u8) -> TxResult<()> {
         self.cur_line = line;
-        if self.tx.is_some() {
+        if self.in_tx() {
             return self.abort_err(AbortClass::Explicit, code);
         }
         Ok(())
@@ -552,15 +671,7 @@ impl SimCpu {
         self.cur_line = line;
         let cost = self.mem_cost(self.domain.costs.load);
         self.tick(cost)?;
-        let value = if self.tx.is_some() {
-            self.tx_load(addr)?
-        } else if self.sw.is_some() {
-            self.sw_load(addr)
-        } else {
-            let lid = self.domain.geometry.line_of(addr);
-            self.domain.directory.plain_load(lid);
-            self.domain.mem.load(addr)
-        };
+        let value = self.read_word(addr)?;
         if self.pmu.advance(EventKind::MemLoad, 1) {
             self.interrupt(EventKind::MemLoad, Some(addr))?;
         }
@@ -574,16 +685,7 @@ impl SimCpu {
         self.cur_line = line;
         let cost = self.mem_cost(self.domain.costs.store);
         self.tick(cost)?;
-        if self.tx.is_some() {
-            self.tx_store(addr, value)?;
-        } else if self.sw.is_some() {
-            self.sw_store(addr, value);
-        } else {
-            let lid = self.domain.geometry.line_of(addr);
-            let d = &self.domain;
-            d.directory
-                .plain_store(lid, Some(self.tid), false, || d.mem.store(addr, value));
-        }
+        self.write_word(addr, value)?;
         if self.pmu.advance(EventKind::MemStore, 1) {
             self.interrupt(EventKind::MemStore, Some(addr))?;
         }
@@ -615,30 +717,25 @@ impl SimCpu {
     ) -> TxResult<Result<u64, u64>> {
         self.cur_line = line;
         self.tick(self.domain.costs.load + self.domain.costs.store)?;
-        let result = if self.tx.is_some() {
-            let v = self.tx_load(addr)?;
-            if v == current {
-                self.tx_store(addr, new)?;
-                Ok(v)
-            } else {
-                Err(v)
+        let result = match self.spec.mode {
+            Mode::Plain => {
+                let lid = self.domain.geometry.line_of(addr);
+                let d = &self.domain;
+                let mut result = Err(0);
+                d.directory.plain_store(lid, Some(self.tid), true, || {
+                    result = d.mem.compare_exchange(addr, current, new);
+                });
+                result
             }
-        } else if self.sw.is_some() {
-            let v = self.sw_load(addr);
-            if v == current {
-                self.sw_store(addr, new);
-                Ok(v)
-            } else {
-                Err(v)
+            Mode::Htm | Mode::Stm => {
+                let v = self.read_word(addr)?;
+                if v == current {
+                    self.write_word(addr, new)?;
+                    Ok(v)
+                } else {
+                    Err(v)
+                }
             }
-        } else {
-            let lid = self.domain.geometry.line_of(addr);
-            let d = &self.domain;
-            let mut result = Err(0);
-            d.directory.plain_store(lid, Some(self.tid), true, || {
-                result = d.mem.compare_exchange(addr, current, new);
-            });
-            result
         };
         if self.pmu.advance(EventKind::MemLoad, 1) {
             self.interrupt(EventKind::MemLoad, Some(addr))?;
@@ -655,7 +752,7 @@ impl SimCpu {
     pub fn store_forced(&mut self, line: u32, addr: Addr, value: u64) -> TxResult<()> {
         self.cur_line = line;
         assert!(
-            self.tx.is_none() && self.sw.is_none(),
+            self.spec.mode == Mode::Plain,
             "store_forced is a non-transactional primitive"
         );
         self.tick(self.domain.costs.store)?;
@@ -669,30 +766,29 @@ impl SimCpu {
         Ok(())
     }
 
-    /// Execute a system call: synchronous abort inside a transaction,
+    /// Execute a system call: synchronous abort inside a transaction, a
+    /// demand for irrevocable execution inside software speculation,
     /// otherwise just expensive.
     pub fn syscall(&mut self, line: u32) -> TxResult<()> {
         self.cur_line = line;
-        if self.tx.is_some() {
-            return self.abort_err(AbortClass::Sync, 0);
+        match self.spec.mode {
+            Mode::Plain => self.tick(self.domain.costs.syscall),
+            Mode::Htm => self.abort_err(AbortClass::Sync, 0),
+            Mode::Stm => {
+                // Signal the STM runtime to escalate to irrevocable (serial)
+                // execution. The speculative state stays open for
+                // [`SimCpu::stm_cancel`].
+                let weight = self.clock - self.spec.begin_clock;
+                self.last_abort = Some(AbortInfo::new(AbortClass::Sync, 0, weight));
+                Err(TxAbort)
+            }
         }
-        if self.sw.is_some() {
-            return self.sw_irrevocable();
-        }
-        self.tick(self.domain.costs.syscall)
     }
 
-    /// Take a page fault: synchronous abort inside a transaction,
-    /// otherwise costs a syscall's worth of cycles (fault handling).
+    /// Take a page fault: as unfriendly to speculation as a system call,
+    /// and outside it costs a syscall's worth of cycles (fault handling).
     pub fn page_fault(&mut self, line: u32) -> TxResult<()> {
-        self.cur_line = line;
-        if self.tx.is_some() {
-            return self.abort_err(AbortClass::Sync, 0);
-        }
-        if self.sw.is_some() {
-            return self.sw_irrevocable();
-        }
-        self.tick(self.domain.costs.syscall)
+        self.syscall(line)
     }
 
     /// One iteration of a spin-wait loop (cheaper than `compute` and
@@ -719,7 +815,7 @@ impl SimCpu {
             from,
             to: Ip::new(func, 0),
             kind: BranchKind::Call,
-            in_tsx: self.tx.is_some(),
+            in_tsx: self.in_tx(),
             abort: false,
         });
         self.cur_line = 0;
@@ -736,7 +832,7 @@ impl SimCpu {
             from,
             to: frame.callsite,
             kind: BranchKind::Return,
-            in_tsx: self.tx.is_some(),
+            in_tsx: self.in_tx(),
             abort: false,
         });
         self.tick(self.domain.costs.ret)
@@ -758,61 +854,72 @@ impl SimCpu {
     }
 
     // ------------------------------------------------------------------
-    // Transactional access internals
+    // Memory access by speculation mode
     // ------------------------------------------------------------------
 
-    fn tx_load(&mut self, addr: Addr) -> TxResult<u64> {
-        if let Some(tx) = self.tx.as_ref() {
-            if let Some(&v) = tx.wbuf.get(&addr) {
-                return Ok(v);
-            }
-        }
+    /// The memory half of a load, in whichever mode the CPU is in.
+    fn read_word(&mut self, addr: Addr) -> TxResult<u64> {
         let lid = self.domain.geometry.line_of(addr);
-        let need_declare = !self.tx.as_ref().unwrap().read_lines.contains(&lid.0);
-        if need_declare {
-            let over_budget = self.tx.as_ref().unwrap().read_lines.len()
-                >= self.domain.geometry.read_set_lines as usize;
-            if over_budget {
-                return self.abort_err(AbortClass::Capacity, 0);
+        match self.spec.mode {
+            Mode::Plain => self.domain.directory.plain_load(lid),
+            Mode::Htm => {
+                if let Some(v) = self.spec.buffered(addr) {
+                    return Ok(v);
+                }
+                if !self.spec.tracks(lid, LineUse::Read) {
+                    let held = self.spec.read_lines.len();
+                    if !self.domain.geometry.admits(LineUse::Read, held, 0) {
+                        return self.abort_err(AbortClass::Capacity, 0);
+                    }
+                    if self.domain.directory.tx_read(lid, self.tid) == Declare::SelfConflict {
+                        return self.abort_err(AbortClass::Conflict, 0);
+                    }
+                    self.spec.track(lid, LineUse::Read);
+                }
             }
-            match self.domain.directory.tx_read(lid, self.tid) {
-                Declare::Ok => {
-                    self.tx.as_mut().unwrap().read_lines.insert(lid.0);
+            Mode::Stm => {
+                if let Some(v) = self.spec.buffered(addr) {
+                    return Ok(v);
                 }
-                Declare::SelfConflict => {
-                    return self.abort_err(AbortClass::Conflict, 0);
-                }
+                // The plain-load snoop dooms a speculating HTM writer of
+                // the line, exactly like the lock-based fallback's plain
+                // reads.
+                self.domain.directory.plain_load(lid);
+                self.spec.track(lid, LineUse::Read);
             }
         }
         Ok(self.domain.mem.load(addr))
     }
 
-    fn tx_store(&mut self, addr: Addr, value: u64) -> TxResult<()> {
+    /// The memory half of a store: a committed store whose coherence snoop
+    /// dooms conflicting speculating peers, or a buffered one.
+    fn write_word(&mut self, addr: Addr, value: u64) -> TxResult<()> {
         let lid = self.domain.geometry.line_of(addr);
-        let need_declare = !self.tx.as_ref().unwrap().write_lines.contains(&lid.0);
-        if need_declare {
-            let geometry = self.domain.geometry;
-            let set = geometry.set_of(lid).0;
-            let over_capacity = {
-                let tx = self.tx.as_ref().unwrap();
-                tx.set_ways.get(&set).copied().unwrap_or(0) >= geometry.ways
-                    || tx.write_lines.len() >= geometry.total_lines() as usize
-            };
-            if over_capacity {
-                return self.abort_err(AbortClass::Capacity, 0);
+        match self.spec.mode {
+            Mode::Plain => {
+                let d = &self.domain;
+                d.directory
+                    .plain_store(lid, Some(self.tid), false, || d.mem.store(addr, value));
+                return Ok(());
             }
-            match self.domain.directory.tx_write(lid, self.tid) {
-                Declare::Ok => {
-                    let tx = self.tx.as_mut().unwrap();
-                    *tx.set_ways.entry(set).or_insert(0) += 1;
-                    tx.write_lines.insert(lid.0);
-                }
-                Declare::SelfConflict => {
-                    return self.abort_err(AbortClass::Conflict, 0);
+            Mode::Htm => {
+                if !self.spec.tracks(lid, LineUse::Write) {
+                    let set = self.domain.geometry.set_of(lid).0 as usize;
+                    let held = self.spec.write_lines.len();
+                    let set_fill = self.spec.set_fill[set];
+                    if !self.domain.geometry.admits(LineUse::Write, held, set_fill) {
+                        return self.abort_err(AbortClass::Capacity, 0);
+                    }
+                    if self.domain.directory.tx_write(lid, self.tid) == Declare::SelfConflict {
+                        return self.abort_err(AbortClass::Conflict, 0);
+                    }
+                    self.spec.set_fill[set] += 1;
+                    self.spec.track(lid, LineUse::Write);
                 }
             }
+            Mode::Stm => self.spec.track(lid, LineUse::Write),
         }
-        self.tx.as_mut().unwrap().wbuf.insert(addr, value);
+        self.spec.buffer(addr, value);
         Ok(())
     }
 
@@ -825,25 +932,7 @@ impl SimCpu {
     /// from outside via [`SimCpu::stm_take`]. Unlike `xbegin`, software
     /// speculation survives sampling interrupts.
     pub fn stm_begin(&mut self, line: u32) -> TxResult<()> {
-        assert!(
-            self.tx.is_none(),
-            "software speculation inside a hardware transaction"
-        );
-        assert!(
-            self.sw.is_none(),
-            "nested software transactions are not supported"
-        );
-        self.cur_line = line;
-        self.tick(self.domain.costs.xbegin)?;
-        self.sw = Some(SwTx {
-            read_lines: HashSet::new(),
-            write_lines: HashSet::new(),
-            wbuf: HashMap::new(),
-            begin_clock: self.clock,
-            begin_depth: self.stack.len(),
-            begin_ip: Ip::new(self.stack.last().map_or(FuncId::UNKNOWN, |f| f.func), line),
-        });
-        Ok(())
+        self.begin(Mode::Stm, line)
     }
 
     /// Discard the open software transaction and restore the architectural
@@ -851,32 +940,43 @@ impl SimCpu {
     /// restart. Returns the begin IP and the wasted cycles; accounting is
     /// the caller's job (see [`SimCpu::stm_report_abort`]).
     pub fn stm_cancel(&mut self) -> (Ip, u64) {
-        let sw = self.sw.take().expect("stm_cancel without stm_begin");
+        assert!(self.stm_active(), "stm_cancel without stm_begin");
+        let sw = &mut self.spec;
+        sw.mode = Mode::Plain;
         self.stack.truncate(sw.begin_depth);
         self.cur_line = sw.begin_ip.line;
         (sw.begin_ip, self.clock - sw.begin_clock)
     }
 
-    /// Close out a completed software speculation: hand its footprint to
-    /// the STM commit protocol. After this call the CPU is back in plain
-    /// (non-speculative) mode, so the protocol's lock/validate/publish
-    /// accesses hit memory directly.
-    pub fn stm_take(&mut self, line: u32) -> StmTaken {
-        let sw = self.sw.take().expect("stm_take without stm_begin");
+    /// Close out a completed software speculation: lend its footprint,
+    /// sorted, to the STM commit protocol `protocol`. The CPU is back in
+    /// plain (non-speculative) mode while the protocol runs, so its
+    /// lock/validate/publish accesses hit memory directly; the footprint's
+    /// buffers return to the CPU afterwards for the next speculation.
+    pub fn stm_take<R>(
+        &mut self,
+        line: u32,
+        protocol: impl FnOnce(&mut SimCpu, &StmTaken) -> R,
+    ) -> R {
+        assert!(self.stm_active(), "stm_take without stm_begin");
+        let sw = &mut self.spec;
+        sw.mode = Mode::Plain;
         self.cur_line = line;
-        let mut read_lines: Vec<u64> = sw.read_lines.into_iter().collect();
-        let mut write_lines: Vec<u64> = sw.write_lines.into_iter().collect();
-        let mut writes: Vec<(Addr, u64)> = sw.wbuf.into_iter().collect();
-        read_lines.sort_unstable();
-        write_lines.sort_unstable();
-        writes.sort_unstable_by_key(|&(a, _)| a);
-        StmTaken {
-            read_lines,
-            write_lines,
-            writes,
+        let mut taken = StmTaken {
+            read_lines: std::mem::take(&mut sw.read_lines),
+            write_lines: std::mem::take(&mut sw.write_lines),
+            writes: std::mem::take(&mut sw.writes),
             begin_ip: sw.begin_ip,
             begin_clock: sw.begin_clock,
-        }
+        };
+        taken.read_lines.sort_unstable();
+        taken.write_lines.sort_unstable();
+        taken.writes.sort_unstable_by_key(|&(a, _)| a);
+        let out = protocol(self, &taken);
+        self.spec.read_lines = taken.read_lines;
+        self.spec.write_lines = taken.write_lines;
+        self.spec.writes = taken.writes;
+        out
     }
 
     /// Record a committed software transaction: ground-truth counter plus a
@@ -910,35 +1010,6 @@ impl SimCpu {
             );
         }
     }
-
-    /// An HTM-unfriendly instruction inside software speculation: signal
-    /// the STM runtime to escalate to irrevocable (serial) execution. The
-    /// speculative state stays open for [`SimCpu::stm_cancel`].
-    fn sw_irrevocable(&mut self) -> TxResult<()> {
-        let sw = self.sw.as_ref().expect("sw_irrevocable outside sw mode");
-        let weight = self.clock - sw.begin_clock;
-        self.last_abort = Some(AbortInfo::new(AbortClass::Sync, 0, weight));
-        Err(TxAbort)
-    }
-
-    fn sw_load(&mut self, addr: Addr) -> u64 {
-        if let Some(&v) = self.sw.as_ref().unwrap().wbuf.get(&addr) {
-            return v;
-        }
-        let lid = self.domain.geometry.line_of(addr);
-        // The plain-load snoop dooms a speculating HTM writer of the line,
-        // exactly like the lock-based fallback's plain reads.
-        self.domain.directory.plain_load(lid);
-        self.sw.as_mut().unwrap().read_lines.insert(lid.0);
-        self.domain.mem.load(addr)
-    }
-
-    fn sw_store(&mut self, addr: Addr, value: u64) {
-        let lid = self.domain.geometry.line_of(addr);
-        let sw = self.sw.as_mut().unwrap();
-        sw.write_lines.insert(lid.0);
-        sw.wbuf.insert(addr, value);
-    }
 }
 
 impl SimCpu {
@@ -967,5 +1038,47 @@ impl std::fmt::Debug for SimCpu {
             .field("in_tx", &self.in_tx())
             .field("stats", &self.stats)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn merge_sums_every_field() {
+        // Every field distinct and non-zero, so a field the merge forgot
+        // or summed into a neighbour shows.
+        let one = CpuStats {
+            tx_begins: 1,
+            commits: 2,
+            aborts_conflict: 3,
+            aborts_capacity: 4,
+            aborts_sync: 5,
+            aborts_explicit: 6,
+            aborts_interrupt: 7,
+            stm_commits: 8,
+            aborts_validation: 9,
+            wasted_cycles: 10,
+            parks_in_tx: 11,
+            parks: 12,
+        };
+        let mut sum = one;
+        sum.merge(&one);
+        let doubled = CpuStats {
+            tx_begins: 2,
+            commits: 4,
+            aborts_conflict: 6,
+            aborts_capacity: 8,
+            aborts_sync: 10,
+            aborts_explicit: 12,
+            aborts_interrupt: 14,
+            stm_commits: 16,
+            aborts_validation: 18,
+            wasted_cycles: 20,
+            parks_in_tx: 22,
+            parks: 24,
+        };
+        assert_eq!(sum, doubled);
     }
 }

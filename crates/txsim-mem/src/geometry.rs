@@ -8,7 +8,8 @@
 //! earlier in practice, because more lines map into one cache *set* than the
 //! cache has *ways* (associativity overflow). The write set is checked for
 //! both bounds; the read set is modelled with a total-line budget
-//! (`read_set_lines`), defaulting to the L1 line count.
+//! (`read_set_lines`), defaulting to the L1 line count. The rule lives in
+//! one place, [`CacheGeometry::admits`]; the engine only asks it.
 
 use crate::Addr;
 
@@ -19,6 +20,15 @@ pub struct LineId(pub u64);
 /// Identifier of a cache set within the modelled L1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SetId(pub u32);
+
+/// How a transaction wants to track one more distinct line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LineUse {
+    /// Into the read set.
+    Read,
+    /// Into the write set.
+    Write,
+}
 
 /// Geometry of the cache that backs transactional tracking.
 ///
@@ -92,6 +102,20 @@ impl CacheGeometry {
         SetId((line.0 % self.sets as u64) as u32)
     }
 
+    /// The capacity rule: whether a transaction already tracking `held`
+    /// distinct lines for `usage` can track one more. A read line needs
+    /// room in the read budget; a write line needs a free way in its set —
+    /// `set_fill` is how many of the transaction's write lines map there
+    /// already — and room in the cache as a whole. `false` is a capacity
+    /// abort.
+    #[inline]
+    pub fn admits(&self, usage: LineUse, held: usize, set_fill: u32) -> bool {
+        match usage {
+            LineUse::Read => held < self.read_set_lines as usize,
+            LineUse::Write => set_fill < self.ways && held < self.total_lines() as usize,
+        }
+    }
+
     /// Byte offset of `addr` within its cache line.
     #[inline]
     pub fn offset_in_line(&self, addr: Addr) -> u64 {
@@ -133,6 +157,16 @@ mod tests {
         assert!(g.same_line(0, 63));
         assert!(!g.same_line(63, 64));
         assert!(g.same_line(128, 191));
+    }
+
+    #[test]
+    fn capacity_rule_has_three_bounds() {
+        let g = CacheGeometry::tiny(); // 4 sets x 2 ways, 32 read lines
+        assert!(g.admits(LineUse::Read, 31, 0));
+        assert!(!g.admits(LineUse::Read, 32, 0), "read budget");
+        assert!(g.admits(LineUse::Write, 7, 1));
+        assert!(!g.admits(LineUse::Write, 2, 2), "ways in the set");
+        assert!(!g.admits(LineUse::Write, 8, 0), "total lines");
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod geometry;
 pub mod heap;
 pub mod memory;
 
-pub use geometry::{CacheGeometry, LineId, SetId};
+pub use geometry::{CacheGeometry, LineId, LineUse, SetId};
 pub use heap::TxHeap;
 pub use memory::SimMemory;
 

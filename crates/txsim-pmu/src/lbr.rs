@@ -104,13 +104,19 @@ impl Lbr {
     /// Copy out the buffer, oldest entry first.
     pub fn snapshot(&self) -> Vec<LbrEntry> {
         let mut out = Vec::with_capacity(self.len);
+        self.snapshot_into(&mut out);
+        out
+    }
+
+    /// [`Lbr::snapshot`] into a caller-owned buffer, replacing its contents.
+    pub fn snapshot_into(&self, out: &mut Vec<LbrEntry>) {
+        out.clear();
         if self.entries.len() < self.entries.capacity() {
             out.extend_from_slice(&self.entries);
         } else {
             out.extend_from_slice(&self.entries[self.head..]);
             out.extend_from_slice(&self.entries[..self.head]);
         }
-        out
     }
 
     /// Clear all recorded branches (used at thread start).

@@ -59,12 +59,25 @@ pub mod cm;
 use std::sync::Arc;
 
 use obs::{Counter, Subsystem};
-use txsim_htm::{Addr, HtmDomain, Ip, SimCpu};
+use txsim_htm::{Addr, HtmDomain, Ip, SimCpu, StmTaken};
 
 /// Gate bit marking an exclusive (serial) holder: a conventional lock
 /// acquisition or an irrevocable software transaction. Values below it
 /// count active software transactions.
 pub const GATE_EXCLUSIVE: u64 = 1 << 62;
+
+/// Take the lock word at `word` for real: spin until a CAS moves it from
+/// free (0) to `held`. The CAS always snoops, so it dooms every hardware
+/// transaction subscribed to the word. Release with a forced store of 0.
+pub fn lock_word(cpu: &mut SimCpu, line: u32, word: Addr, held: u64) {
+    while cpu
+        .cas(line, word, 0, held)
+        .expect("plain CAS cannot abort")
+        .is_err()
+    {
+        cpu.spin(line).expect("spin outside tx cannot abort");
+    }
+}
 
 /// Tuning knobs for the TL2 engine.
 #[derive(Debug, Clone, Copy)]
@@ -201,16 +214,7 @@ impl Tl2 {
     /// Acquire the gate exclusively (waits for every software transaction
     /// to drain) — the irrevocable/serial mode entry.
     pub fn gate_lock_exclusive(&self, cpu: &mut SimCpu, line: u32) {
-        obs::count(Counter::StmIrrevocable);
-        loop {
-            match cpu
-                .cas(line, self.gate, 0, GATE_EXCLUSIVE)
-                .expect("plain CAS cannot abort")
-            {
-                Ok(_) => return,
-                Err(_) => cpu.spin(line).expect("spin outside tx cannot abort"),
-            }
-        }
+        lock_word(cpu, line, self.gate, GATE_EXCLUSIVE);
     }
 
     /// Release the exclusive gate.
@@ -243,7 +247,18 @@ impl Tl2 {
     /// abort ([`SimCpu::stm_report_abort`]) and retry or escalate.
     pub fn commit(&self, cpu: &mut SimCpu, line: u32, rv: u64) -> Result<(), StmAbort> {
         let _span = obs::span(Subsystem::Stm, "tl2_commit");
-        let taken = cpu.stm_take(line);
+        cpu.stm_take(line, |cpu, taken| self.publish(cpu, line, rv, taken))
+    }
+
+    /// The commit protocol proper, over the footprint `taken` that the CPU
+    /// (back in plain mode) lends for its duration.
+    fn publish(
+        &self,
+        cpu: &mut SimCpu,
+        line: u32,
+        rv: u64,
+        taken: &StmTaken,
+    ) -> Result<(), StmAbort> {
         let fail = |cpu: &mut SimCpu, cause: CommitFail| StmAbort {
             cause,
             ip: taken.begin_ip,
@@ -257,7 +272,7 @@ impl Tl2 {
         let mut write_stripes: Vec<Addr> = taken
             .write_lines
             .iter()
-            .map(|&l| self.stripe_addr(l))
+            .map(|&l| self.stripe_addr(l.0))
             .collect();
         write_stripes.sort_unstable();
         write_stripes.dedup();
@@ -287,7 +302,7 @@ impl Tl2 {
         // take their release version from a clock increment made after
         // their publish (phase 4 below).
         for &l in &taken.read_lines {
-            let stripe = self.stripe_addr(l);
+            let stripe = self.stripe_addr(l.0);
             let v = cpu.load(line, stripe).expect("plain load cannot abort");
             let locked_by_us = v & 1 != 0 && locked.iter().any(|&(s, _)| s == stripe);
             if (v & 1 != 0 && !locked_by_us) || (v >> 1) > rv {
