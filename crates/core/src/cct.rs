@@ -279,6 +279,18 @@ impl Cct {
         acc
     }
 
+    /// Inclusive metrics of every node, indexed by [`NodeId`]: one sweep in
+    /// reverse id order folds each node into its parent, which always has
+    /// the smaller id, so every subtree is complete before it is read.
+    pub fn inclusive_all(&self) -> Vec<Metrics> {
+        let mut acc: Vec<Metrics> = self.nodes.iter().map(|n| n.metrics).collect();
+        for id in (1..self.nodes.len()).rev() {
+            let child = acc[id];
+            acc[self.nodes[id].parent as usize].merge(&child);
+        }
+        acc
+    }
+
     /// Sum of all nodes' metrics — the whole-program totals.
     pub fn totals(&self) -> Metrics {
         let mut acc = Metrics::default();
@@ -448,6 +460,28 @@ mod tests {
         assert_eq!(cct.inclusive(b).w, 6);
         assert_eq!(cct.inclusive(c).w, 4);
         assert_eq!(cct.totals().w, 7);
+    }
+
+    #[test]
+    fn inclusive_all_matches_inclusive_per_node() {
+        let mut cct = Cct::new();
+        let leaves = [
+            cct.path([frame(1, 1), frame(2, 2), stmt(2, 3)]),
+            cct.path([frame(1, 1), stmt(1, 4)]),
+            cct.path([frame(3, 1), stmt(3, 9)]),
+            cct.path([frame(1, 1), frame(2, 2)]),
+        ];
+        for (i, &n) in leaves.iter().enumerate() {
+            let m = cct.metrics_mut(n);
+            m.w = 1 << i;
+            m.abort_weight = 10 * (i as u64 + 1);
+        }
+        let all = cct.inclusive_all();
+        assert_eq!(all.len(), cct.len());
+        for id in 0..cct.len() as NodeId {
+            assert_eq!(all[id as usize], cct.inclusive(id), "node {id}");
+        }
+        assert_eq!(all[ROOT as usize], cct.totals());
     }
 
     #[test]

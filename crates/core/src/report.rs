@@ -16,6 +16,7 @@ use txsim_pmu::{FuncId, FuncRegistry, Ip};
 
 use crate::cct::{NodeId, NodeKey, ROOT};
 use crate::decision::{Diagnosis, Thresholds};
+use crate::metrics::Metrics;
 use crate::profile::Profile;
 use crate::store::FuncNames;
 use crate::view::ProfileView;
@@ -192,12 +193,16 @@ pub fn render_cct(view: &ProfileView, opts: &CctViewOptions) -> String {
         "calling context", "W", "T%", "Ttx%", "abort-wt", "a/c"
     )
     .unwrap();
-    render_node(view, ROOT, 0, opts, &mut out, false);
+    let inclusive = view.profile.cct.inclusive_all();
+    render_node(view, &inclusive, ROOT, 0, opts, &mut out, false);
     out
 }
 
+/// Render `node` and its significant descendants; `inclusive` holds every
+/// node's inclusive metrics ([`crate::cct::Cct::inclusive_all`]).
 fn render_node(
     view: &ProfileView,
+    inclusive: &[Metrics],
     node: NodeId,
     depth: usize,
     opts: &CctViewOptions,
@@ -209,10 +214,9 @@ fn render_node(
     }
     let profile = view.profile;
     let totals = &view.totals;
-    let inclusive = profile.cct.inclusive(node);
-    let w_share = inclusive.w as f64 / totals.w.max(1) as f64;
-    let significant =
-        w_share >= opts.min_share || inclusive.abort_weight > 0 || inclusive.abort_samples > 0;
+    let incl = &inclusive[node as usize];
+    let w_share = incl.w as f64 / totals.w.max(1) as f64;
+    let significant = w_share >= opts.min_share || incl.abort_weight > 0 || incl.abort_samples > 0;
     if node != ROOT && !significant {
         return;
     }
@@ -233,17 +237,17 @@ fn render_node(
         }
         Some(NodeKey::Stmt { ip, .. }) => format!("@ {}", view.ip_name(ip)),
     };
-    let t_share = inclusive.t as f64 / totals.t.max(1) as f64;
-    let ttx_share = inclusive.t_tx as f64 / totals.t_tx.max(1) as f64;
+    let t_share = incl.t as f64 / totals.t.max(1) as f64;
+    let ttx_share = incl.t_tx as f64 / totals.t_tx.max(1) as f64;
     writeln!(
         out,
         "{:<58} {:>8} {:>7} {:>7} {:>9} {:>7.2}",
         format!("{indent}{label}"),
-        inclusive.w,
+        incl.w,
         pct(t_share),
         pct(ttx_share),
-        inclusive.abort_weight,
-        inclusive.abort_commit_ratio(),
+        incl.abort_weight,
+        incl.abort_commit_ratio(),
     )
     .unwrap();
 
@@ -253,13 +257,14 @@ fn render_node(
     let mut children: Vec<NodeId> = profile.cct.children(node).collect();
     children.sort_by_key(|&c| {
         (
-            std::cmp::Reverse(profile.cct.inclusive(c).w),
+            std::cmp::Reverse(inclusive[c as usize].w),
             profile.cct.key(c).map(key_rank),
         )
     });
     for child in children {
         render_node(
             view,
+            inclusive,
             child,
             depth + 1,
             opts,
