@@ -420,15 +420,17 @@ impl CollectorHandle {
     /// Take the finished thread profile. Call after the worker joined and
     /// the collector flushed (sink flush or drop).
     pub fn take(&self) -> ThreadProfile {
-        std::mem::take(&mut lock_slot(&self.slot))
+        std::mem::take(&mut lock_recovering(&self.slot))
     }
 }
 
-/// Acquire the handoff slot, recovering a poisoned lock instead of
-/// panicking: the slot only ever holds complete absorbed deltas, so a
-/// panicking flusher cannot leave it half-written.
-fn lock_slot(slot: &Mutex<ThreadProfile>) -> MutexGuard<'_, ThreadProfile> {
-    slot.lock().unwrap_or_else(|poisoned| {
+/// Acquire one of the collector's locks, recovering a poisoned lock
+/// instead of panicking, and count the recovery. Both users can take over
+/// whatever a panicking holder left: the handoff slot only ever holds
+/// complete absorbed deltas, and a shadow-memory shard is a best-effort
+/// cache of recent accesses whose worst damage is one missing record.
+pub(crate) fn lock_recovering<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
+    lock.lock().unwrap_or_else(|poisoned| {
         obs::count(Counter::CollectorLockRecoveries);
         poisoned.into_inner()
     })
@@ -554,7 +556,7 @@ impl Collector {
         if delta.is_empty() {
             return;
         }
-        lock_slot(&self.slot).absorb(&delta);
+        lock_recovering(&self.slot).absorb(&delta);
     }
 
     /// Figure 4: classify a cycles sample into a time component.

@@ -16,6 +16,8 @@ use std::sync::Mutex;
 use obs::Counter;
 use txsim_mem::{Addr, CacheGeometry};
 
+use crate::collect::lock_recovering;
+
 /// The paper sets the contention window P to 100 ms (empirically). The
 /// simulator's timestamp is wall-clock nanoseconds.
 pub const DEFAULT_WINDOW_NS: u64 = 100_000_000;
@@ -95,7 +97,7 @@ impl ContentionMap {
         obs::count(Counter::ShadowProbes);
         let line = self.geometry.line_of(addr).0;
         let shard = &self.shards[(line as usize) % SHARDS];
-        let mut shard = shard.lock().expect("shadow shard poisoned");
+        let mut shard = lock_recovering(shard);
 
         let mut result = Sharing::None;
         if let Some(prev) = shard.by_line.get(&line) {
@@ -145,7 +147,7 @@ impl ContentionMap {
     pub fn shadowed_lines(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("shadow shard poisoned").by_line.len())
+            .map(|s| lock_recovering(s).by_line.len())
             .sum()
     }
 }
@@ -221,6 +223,30 @@ mod tests {
         assert_eq!(m.record(64, 1, true, 20), Sharing::True);
         // Thread 0 touches word 64 again; last word access was thread 1 → true.
         assert_eq!(m.record(64, 0, true, 30), Sharing::True);
+    }
+
+    #[test]
+    fn poisoned_shard_is_recovered_and_still_classifies() {
+        let m = map();
+        m.record(64, 0, true, 0);
+        let line = m.geometry.line_of(64).0;
+        let shard = &m.shards[(line as usize) % SHARDS];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = shard.lock().unwrap();
+            panic!("poison the shard");
+        }));
+        assert!(caught.is_err());
+        assert!(shard.is_poisoned());
+
+        obs::set_enabled(true);
+        let before = obs::registry().get(Counter::CollectorLockRecoveries);
+        // The access recorded before the panic is still there to contend with.
+        assert_eq!(m.record(64, 1, true, 100), Sharing::True);
+        assert_eq!(m.record(72, 0, true, 200), Sharing::False);
+        assert_eq!(m.shadowed_lines(), 1);
+        let recovered = obs::registry().get(Counter::CollectorLockRecoveries) - before;
+        obs::set_enabled(false);
+        assert!(recovered >= 3, "each lock of the shard counts: {recovered}");
     }
 
     #[test]

@@ -129,7 +129,7 @@ counters! {
     StmIrrevocable => (Stm, "stm_irrevocable", "Escalations to serial irrevocable execution."),
     CollectorScratchTruncations => (Collector, "collector_scratch_truncations", "Sample contexts truncated to the fixed-capacity scratch buffer."),
     CollectorDeltasPublished => (Collector, "collector_deltas_published", "Non-empty epoch-boundary profile deltas published to the snapshot hub."),
-    CollectorLockRecoveries => (Collector, "collector_lock_recoveries", "Poisoned collector handoff locks recovered instead of panicking."),
+    CollectorLockRecoveries => (Collector, "collector_lock_recoveries", "Poisoned collector locks (handoff slots, shadow-memory shards) recovered instead of panicking."),
     HubLockRecoveries => (Live, "hub_lock_recoveries", "Poisoned snapshot-hub locks recovered instead of panicking."),
     CctNodesCreated => (Cct, "cct_nodes_created", "Calling-context-tree nodes created."),
     CctNodesHit => (Cct, "cct_nodes_hit", "Calling-context-tree lookups that found an existing node."),
