@@ -89,25 +89,30 @@ for w in starved_writer irrevocable true_sharing; do
     "$fresh_dir/profile-micro_$w.txsp" --check > /dev/null
 done
 
-stage "stored-profile CLI goldens (repro report / repro diff vs results/golden)"
+stage "stored-profile CLI goldens (repro report / flamegraph / diff vs results/golden)"
 # The offline commands resolve names from the profile's own `func`
 # records (NameSource::Names), a text path no in-crate golden covers.
-# Every pinned baseline's report and one diff must render byte for byte
-# as recorded. Rebless after an intentional output change with:
+# Every pinned baseline's report and folded stacks, and one diff, must
+# render byte for byte as recorded. Rebless after an intentional output
+# change with:
 #   for b in results/baseline_*.txsp; do
 #     n=$(basename "$b" .txsp)
 #     cargo run --release -q -p txbench --bin repro -- report "$b" \
 #       > "results/golden/report_${n#baseline_}.txt"
+#     cargo run --release -q -p txbench --bin repro -- flamegraph "$b" \
+#       > "results/golden/flamegraph_${n#baseline_}.folded"
 #   done
 #   cargo run --release -q -p txbench --bin repro -- diff \
 #     results/baseline_starved_writer_stm.txsp \
 #     results/baseline_true_sharing_stm.txsp \
 #     > results/golden/diff_starved_writer_vs_true_sharing.txt
-#   git add -f results/golden/*.txt   # /results is gitignored
+#   git add -f results/golden/*   # /results is gitignored
 for b in results/baseline_*.txsp; do
   n=$(basename "$b" .txsp)
   cargo run --release -q -p txbench --bin repro -- report "$b" > "$fresh_dir/report.txt"
   diff -u "results/golden/report_${n#baseline_}.txt" "$fresh_dir/report.txt"
+  cargo run --release -q -p txbench --bin repro -- flamegraph "$b" > "$fresh_dir/folded.txt"
+  diff -u "results/golden/flamegraph_${n#baseline_}.folded" "$fresh_dir/folded.txt"
 done
 cargo run --release -q -p txbench --bin repro -- diff \
   results/baseline_starved_writer_stm.txsp \
