@@ -86,6 +86,9 @@ pub use decision::{diagnose, Diagnosis, Suggestion, Thresholds};
 pub use diff::{diff_profiles, render_diff, render_totals_diff, ProfileDiff};
 pub use imbalance::{detect_imbalance, Imbalance, ImbalanceKind};
 pub use metrics::{BackendMix, Metrics, TimeComponent};
-pub use profile::{Periods, Profile, RunMeta, ThreadProfile, TimeBreakdown};
+pub use profile::{
+    AbortClassRow, Periods, Profile, RunMeta, ThreadProfile, TimeBreakdown, TimeComponentRow,
+    ABORT_CLASSES, TIME_COMPONENTS,
+};
 pub use rtm_runtime::{CmKind, CmStats, Hist32, SiteHists, SiteMap, SiteRecord, HIST_BUCKETS};
 pub use view::{NameSource, ProfileView};
