@@ -39,6 +39,7 @@ pub use selfprof::{aggregate_spans, SelfProfile, SpanAgg};
 pub use spans::{flush_thread, span, take_traces, SpanEvent, SpanGuard, SpanRing, ThreadTrace};
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::LockResult;
 
 static COUNTERS_ENABLED: AtomicBool = AtomicBool::new(false);
 static TRACING_ENABLED: AtomicBool = AtomicBool::new(false);
@@ -80,6 +81,16 @@ pub fn count_n(counter: Counter, n: u64) {
     if enabled() && n > 0 {
         registry().add(counter, n);
     }
+}
+
+/// Take the guard out of a lock result, recovering a poisoned lock instead
+/// of propagating the holder's panic, and count the recovery on `counter`.
+/// Each caller states why its data stays valid after such a panic.
+pub fn recover<G>(result: LockResult<G>, counter: Counter) -> G {
+    result.unwrap_or_else(|poisoned| {
+        count(counter);
+        poisoned.into_inner()
+    })
 }
 
 /// Timestamp source for spans: the simulator's global virtual TSC.

@@ -65,7 +65,7 @@
 //!   files, so it is read once per process, not once per scheduler.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use obs::{Counter, Subsystem};
@@ -166,12 +166,7 @@ impl Scheduler {
     /// worker that panics inside `sync` still retires from `SimCpu`'s drop
     /// — a second panic there would abort the process.
     fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(Self::recover)
-    }
-
-    fn recover<'a>(poisoned: PoisonError<MutexGuard<'a, Inner>>) -> MutexGuard<'a, Inner> {
-        obs::count(Counter::SchedLockRecoveries);
-        poisoned.into_inner()
+        obs::recover(self.inner.lock(), Counter::SchedLockRecoveries)
     }
 
     /// Tell `tid` to re-check its eligibility; the caller holds the lock.
@@ -271,7 +266,7 @@ impl Scheduler {
                 self.parks.fetch_add(1, Ordering::Relaxed);
                 obs::count(Counter::SchedParks);
                 inner.parked |= 1 << tid;
-                inner = waiter.cv.wait(inner).unwrap_or_else(Self::recover);
+                inner = obs::recover(waiter.cv.wait(inner), Counter::SchedLockRecoveries);
                 inner.parked &= !(1 << tid);
             }
         }
