@@ -43,6 +43,11 @@ impl NameSource<'_> {
             NameSource::Anonymous => format!("func{}", id.0),
         }
     }
+
+    /// Resolve an IP to `func:line` text.
+    pub fn ip_name(&self, ip: Ip) -> String {
+        format!("{}:{}", self.func_name(ip.func), ip.line)
+    }
 }
 
 /// A profile prepared for rendering: the profile itself, a name source,
@@ -93,7 +98,7 @@ impl<'a> ProfileView<'a> {
 
     /// Resolve an IP to `func:line` text.
     pub fn ip_name(&self, ip: Ip) -> String {
-        format!("{}:{}", self.func_name(ip.func), ip.line)
+        self.names.ip_name(ip)
     }
 }
 
