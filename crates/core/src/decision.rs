@@ -13,6 +13,7 @@ use txsim_pmu::Ip;
 
 use crate::metrics::Metrics;
 use crate::profile::Profile;
+use crate::view::NameSource;
 
 /// Tunable thresholds for the tree's branch points.
 #[derive(Debug, Clone, Copy)]
@@ -142,10 +143,23 @@ impl Suggestion {
 /// paper's Figure 1 example.
 #[derive(Debug, Clone)]
 pub struct Step {
-    /// What the tree examined.
+    /// What the tree examined; `{site}` in it stands for the name of
+    /// [`Step::site`].
     pub observation: String,
+    /// The transaction site a per-site step examined.
+    pub site: Option<Ip>,
     /// The measured value driving the branch.
     pub value: f64,
+}
+
+impl Step {
+    /// The observation, with its site named through `names`.
+    pub fn describe(&self, names: &NameSource) -> String {
+        match self.site {
+            Some(site) => self.observation.replace("{site}", &names.ip_name(site)),
+            None => self.observation.clone(),
+        }
+    }
 }
 
 /// The diagnosis for one hot abort site.
@@ -198,6 +212,7 @@ pub fn diagnose(profile: &Profile, thresholds: &Thresholds) -> Diagnosis {
     let r_cs = totals.r_cs();
     steps.push(Step {
         observation: "time analysis: share of cycles in critical sections (T/W)".into(),
+        site: None,
         value: r_cs,
     });
     if r_cs < thresholds.r_cs_significant {
@@ -220,6 +235,7 @@ pub fn diagnose(profile: &Profile, thresholds: &Thresholds) -> Diagnosis {
     for (name, share) in shares {
         steps.push(Step {
             observation: format!("time decomposition: {name}/T"),
+            site: None,
             value: share,
         });
     }
@@ -298,9 +314,9 @@ pub fn diagnose(profile: &Profile, thresholds: &Thresholds) -> Diagnosis {
         }
         steps.push(Step {
             observation: format!(
-                "starvation scan at func {}:{}: retry-depth p99 <= {p99}, HTM commit share",
-                site.func.0, site.line
+                "starvation scan at {{site}}: retry-depth p99 <= {p99}, HTM commit share"
             ),
+            site: Some(site),
             value: commit_share,
         });
         if let Some(existing) = sites.iter_mut().find(|s| s.site == site) {
@@ -334,10 +350,8 @@ fn diagnose_site(
 ) -> SiteDiagnosis {
     let (r_conf, r_cap, r_sync) = (m.r_conflict(), m.r_capacity(), m.r_sync());
     steps.push(Step {
-        observation: format!(
-            "abort analysis at func {}:{}: weight shares conflict/capacity/sync",
-            site.func.0, site.line
-        ),
+        observation: "abort analysis at {site}: weight shares conflict/capacity/sync".into(),
+        site: Some(site),
         value: m.abort_weight as f64,
     });
 
@@ -415,7 +429,7 @@ mod tests {
     use super::*;
     use crate::cct::{NodeKey, ROOT};
     use crate::metrics::TimeComponent;
-    use txsim_pmu::FuncId;
+    use txsim_pmu::{AbortClass, FuncId};
 
     fn profile_with(f: impl FnOnce(&mut Profile)) -> Profile {
         let mut p = Profile::default();
@@ -498,6 +512,38 @@ mod tests {
         assert!(!d.sites[0]
             .suggestions
             .contains(&Suggestion::RelocateDataToDifferentLines));
+    }
+
+    #[test]
+    fn site_steps_name_their_site_through_the_name_source() {
+        let p = profile_with(|p| {
+            let n = stmt(p, 3, 9);
+            for _ in 0..100 {
+                p.cct
+                    .metrics_mut(n)
+                    .add_cycles_sample(TimeComponent::LockWaiting);
+            }
+            for _ in 0..10 {
+                p.cct
+                    .metrics_mut(n)
+                    .add_abort_sample(AbortClass::Conflict, 100);
+            }
+        });
+        let d = diagnose(&p, &Thresholds::default());
+        let step = d
+            .steps
+            .iter()
+            .find(|s| s.site.is_some())
+            .expect("an abort-analysis step");
+        assert_eq!(step.site, Some(Ip::new(FuncId(3), 9)));
+        let names = [(3, "hot_update".to_string())].into_iter().collect();
+        assert_eq!(
+            step.describe(&NameSource::Names(&names)),
+            "abort analysis at hot_update:9: weight shares conflict/capacity/sync"
+        );
+        assert!(step
+            .describe(&NameSource::Anonymous)
+            .starts_with("abort analysis at func3:9:"));
     }
 
     #[test]
