@@ -50,15 +50,22 @@ done
 
 stage "adaptive-fallback regression gate (repro diff --check vs pinned baseline)"
 # Profile the mixed-phase workload under the adaptive backend and diff it
-# against the pinned results/baseline_mixed_adaptive.txsp (store v5, so
-# the baseline carries per-site latency/retry histograms). The gate fails
-# on a dominant component-share regression (>= 10 pp; the workload runs
-# on real threads, so smaller share movement — lock-wait especially — is
+# against the pinned results/baseline_mixed_adaptive.txsp (store v6, with
+# per-site latency/retry histograms). The gate fails on a dominant
+# component-share regression (>= 10 pp; the workload runs on real
+# threads, so smaller share movement — lock-wait especially — is
 # scheduling jitter), any decision-tree suggestion absent from the
 # baseline, or a well-sampled site whose p99 transaction latency moved up
 # by >= 2 log buckets (a 4x tail regression; single-bucket moves are
-# boundary jitter). Rebless by copying the fresh profile over the
-# baseline when an intentional change shifts the decomposition.
+# boundary jitter). Rebless after an intentional change that shifts the
+# decomposition with:
+#   cargo run --release -q -p txbench --bin repro -- \
+#     --threads 4 --scale 40 --trials 5 --fallback adaptive \
+#     --out results profile micro/mixed_phase
+#   mv results/profile-micro_mixed_phase.txsp results/baseline_mixed_adaptive.txsp
+#   git add -f results/baseline_mixed_adaptive.txsp   # /results is gitignored
+# then rebless the stored-profile CLI goldens below and the fleet pins
+# (BLESS=1 cargo test -q --test fleet_product_pin), which read it too.
 fresh_dir="$(mktemp -d)"
 trap 'rm -rf "$fresh_dir"' EXIT
 cargo run --release -q -p txbench --bin repro -- \

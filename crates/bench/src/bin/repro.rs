@@ -88,7 +88,7 @@ diff aligns two saved profiles by call path and reports what changed:
 component-share movement (naming the dominant improvement/regression),
 top improved and regressed call paths, abort-site weight changes,
 per-site percentile shifts (p50/p99 transaction cycles and retry depth,
-from the v5 histograms), and which decision-tree suggestions were
+from the per-site histograms), and which decision-tree suggestions were
 resolved, persist, or are new. Warns when the two files' run provenance
 (workload, threads) differs. With --check, doubles as a CI regression
 gate: exits 1 when B shows a dominant component-share regression of at

@@ -535,6 +535,16 @@ pub fn render_table2(rows: &[SpeedupRow]) -> String {
 // Case studies (§8)
 // ---------------------------------------------------------------------
 
+/// A fix's effect on an abort count: "N% reduction", or "not exercised"
+/// when there was nothing to reduce (0 -> 0 is no evidence of a fix).
+fn reduction(before: u64, after: u64) -> String {
+    if before == 0 {
+        return "not exercised".to_string();
+    }
+    let cut = 100.0 * (1.0 - after as f64 / before as f64);
+    format!("{cut:.0}% reduction")
+}
+
 /// Run and narrate the Dedup case study (§8.1).
 pub fn case_dedup(cfg: &ExpConfig) -> String {
     use htmbench::dedup::{run, Variant};
@@ -560,18 +570,20 @@ pub fn case_dedup(cfg: &ExpConfig) -> String {
     let full = run(Variant::FixedHashAndIo, &cfg.sampled_run());
     let t2 = full.truth.totals();
 
-    let cap_cut = 100.0 * (1.0 - t1.aborts_capacity as f64 / t0.aborts_capacity.max(1) as f64);
-    let sync_cut = 100.0 * (1.0 - t2.aborts_sync as f64 / t1.aborts_sync.max(1) as f64);
     writeln!(
         out,
-        "-- hash-function fix: capacity aborts {} -> {} ({cap_cut:.0}% reduction; paper: 97%)",
-        t0.aborts_capacity, t1.aborts_capacity
+        "-- hash-function fix: capacity aborts {} -> {} ({}; paper: 97%)",
+        t0.aborts_capacity,
+        t1.aborts_capacity,
+        reduction(t0.aborts_capacity, t1.aborts_capacity)
     )
     .unwrap();
     writeln!(
         out,
-        "-- I/O moved out of transaction: sync aborts {} -> {} ({sync_cut:.0}% reduction)",
-        t1.aborts_sync, t2.aborts_sync
+        "-- I/O moved out of transaction: sync aborts {} -> {} ({})",
+        t1.aborts_sync,
+        t2.aborts_sync,
+        reduction(t1.aborts_sync, t2.aborts_sync)
     )
     .unwrap();
     writeln!(
@@ -807,4 +819,16 @@ pub fn table2_tsv(rows: &[SpeedupRow]) -> String {
         .unwrap();
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::reduction;
+
+    #[test]
+    fn reduction_needs_something_to_reduce() {
+        assert_eq!(reduction(0, 0), "not exercised");
+        assert_eq!(reduction(0, 5), "not exercised");
+        assert_eq!(reduction(100, 3), "97% reduction");
+    }
 }

@@ -131,7 +131,7 @@ pub struct ProfileDiff {
     /// Abort sites present on either side with differing abort metrics.
     pub sites: Vec<SiteDiff>,
     /// Sites with latency/retry histograms on either side whose
-    /// histograms differ (v5 stores; empty when neither side has any).
+    /// histograms differ (empty when neither side has any).
     pub hist_sites: Vec<HistSiteDiff>,
     /// Decision-tree movement between the sides.
     pub suggestions: SuggestionChanges,

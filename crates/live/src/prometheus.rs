@@ -289,7 +289,7 @@ pub fn render(view: &SnapshotView, window: Option<&Metrics>, obs: &Snapshot) -> 
         }
     }
 
-    // Per-site latency/retry histograms (v5 profiles). The 32 power-of-two
+    // Per-site latency/retry histograms. The 32 power-of-two
     // buckets render as cumulative `le` bounds `2^(i+1)-1`; the catch-all
     // top bucket has no finite upper bound, so it folds into `+Inf` (whose
     // count therefore always equals `_count`, as Prometheus requires).
